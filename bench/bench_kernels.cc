@@ -407,7 +407,7 @@ std::vector<KernelResult> RunAll(const BenchOptions& options, bool smoke) {
   // dispatch level (<name>_scalar / <name>_avx2). Checksums must match
   // bit for bit — the pair is also a determinism check — and the
   // --assert-simd-floor flag (the perfsmoke lane) requires >=2x on >=3 of
-  // the 5 pairs. The _avx2 rows are omitted on machines without AVX2. ---
+  // the 4 pairs. The _avx2 rows are omitted on machines without AVX2. ---
   {
     struct LevelRestore {
       // SetLevel pins the probe level too, so save and restore both —
@@ -466,37 +466,7 @@ std::vector<KernelResult> RunAll(const BenchOptions& options, bool smoke) {
       });
     }
 
-    // Kernel 2: CSR group-by bucketing (count + prefix sum + scatter).
-    {
-      const size_t n = smoke ? 200000 : 2000000;
-      const size_t groups = 1024;
-      Rng rng(3303);
-      std::vector<uint64_t> gids(n);
-      std::vector<uint8_t> valid(n);
-      std::vector<double> values(n);
-      for (size_t i = 0; i < n; ++i) {
-        gids[i] = rng.UniformUint64(groups);
-        valid[i] = rng.UniformUint64(20) != 0 ? 1 : 0;
-        values[i] = rng.Normal();
-      }
-      std::vector<size_t> offsets(groups + 1);
-      std::vector<size_t> cursor(groups);
-      std::vector<double> out(n);
-      measure_pair("simd_groupby_scatter", n, [&]() -> uint64_t {
-        std::fill(offsets.begin(), offsets.end(), size_t{0});
-        simd::CountPerGroup(gids.data(), valid.data(), n,
-                            offsets.data() + 1);
-        for (size_t g = 0; g < groups; ++g) offsets[g + 1] += offsets[g];
-        std::copy(offsets.begin(), offsets.end() - 1, cursor.begin());
-        simd::ScatterByGroup(values.data(), valid.data(), gids.data(), n,
-                             cursor.data(), out.data());
-        uint64_t h = offsets[groups];
-        for (size_t i = 0; i < offsets[groups]; ++i) h ^= bits_of(out[i]) + i;
-        return h;
-      });
-    }
-
-    // Kernel 3: split-search gather + class-square scan (the decision
+    // Kernel 2: split-search gather + class-square scan (the decision
     // tree's presorted classification inner loops). The scan calls
     // ClassSquares once per row — with continuous features every value is
     // a distinct candidate threshold, so that is the dense shape
@@ -541,7 +511,7 @@ std::vector<KernelResult> RunAll(const BenchOptions& options, bool smoke) {
       });
     }
 
-    // Kernel 4: squared Euclidean distance — the KNN Predict shape: each
+    // Kernel 3: squared Euclidean distance — the KNN Predict shape: each
     // query is scored against the whole row-major training matrix with
     // the batch kernel (geo joins hit the single-pair kernel at 2-3
     // dims). The training set is KNN-sized (1024 x 64 = 512 KiB), so the
@@ -574,8 +544,8 @@ std::vector<KernelResult> RunAll(const BenchOptions& options, bool smoke) {
                    });
     }
 
-    // Kernel 5: bulk little-endian numeric decode + null-bitmap expansion
-    // (the .ardac columnar read path).
+    // Kernel 4: bulk little-endian numeric decode + byte-per-row validity
+    // copy (the shape of the eager .ardac read of one double column).
     {
       const size_t n = smoke ? 400000 : 2000000;
       Rng rng(6606);
@@ -585,15 +555,15 @@ std::vector<KernelResult> RunAll(const BenchOptions& options, bool smoke) {
         double v = rng.Normal();
         std::memcpy(src.data() + i * 8, &v, 8);
       }
-      std::vector<uint8_t> bitmap((n + 7) / 8);
-      for (uint8_t& b : bitmap) {
-        b = static_cast<uint8_t>(rng.UniformUint64(256));
+      std::vector<uint8_t> validity(n);
+      for (uint8_t& b : validity) {
+        b = rng.UniformUint64(20) != 0 ? 1 : 0;
       }
       std::vector<double> dst(n);
       std::vector<uint8_t> valid(n);
       measure_pair("simd_decode", n, [&]() -> uint64_t {
         simd::DecodeU64LeToDouble(src.data(), n, dst.data());
-        simd::ExpandValidityBitmap(bitmap.data(), n, valid.data());
+        std::memcpy(valid.data(), validity.data(), n);
         uint64_t h = 0;
         for (size_t i = 0; i < n; i += 97) h ^= bits_of(dst[i]) + valid[i];
         return h;
@@ -605,9 +575,8 @@ std::vector<KernelResult> RunAll(const BenchOptions& options, bool smoke) {
 }
 
 // Names of the scalar-vs-SIMD pairs checked by --assert-simd-floor.
-constexpr const char* kSimdPairs[] = {
-    "simd_hash_probe", "simd_groupby_scatter", "simd_split_scan",
-    "simd_distance", "simd_decode"};
+constexpr const char* kSimdPairs[] = {"simd_hash_probe", "simd_split_scan",
+                                      "simd_distance", "simd_decode"};
 
 // Returns false (after printing per-pair speedups) when fewer than
 // `min_pairs` of the kSimdPairs hit `floor` on this machine.

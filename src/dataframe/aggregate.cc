@@ -6,7 +6,6 @@
 
 #include "dataframe/key_encoder.h"
 #include "dataframe/partition.h"
-#include "simd/simd.h"
 #include "util/fault.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -108,14 +107,20 @@ Result<DataFrame> GroupByAggregateImpl(const DataFrame& frame,
     const uint64_t* gids = encoder.row_groups().data();
     const uint8_t* valid = col.ValidityData();
     offsets.assign(num_groups + 1, 0);
-    simd::CountPerGroup(gids, valid, n, offsets.data() + 1);
+    for (size_t r = 0; r < n; ++r) {
+      if (valid[r]) ++offsets[gids[r] + 1];
+    }
     for (size_t g = 0; g < num_groups; ++g) offsets[g + 1] += offsets[g];
     cursor.assign(offsets.begin(), offsets.end() - 1);
+    // Scatters run in ascending row order: the per-group value order the
+    // ordered aggregates (kFirst) depend on.
     if (col.IsNumeric()) {
       flat_doubles.resize(offsets[num_groups]);
       if (col.type() == DataType::kDouble) {
-        simd::ScatterByGroup(col.DoubleData(), valid, gids, n,
-                             cursor.data(), flat_doubles.data());
+        const double* doubles = col.DoubleData();
+        for (size_t r = 0; r < n; ++r) {
+          if (valid[r]) flat_doubles[cursor[gids[r]]++] = doubles[r];
+        }
       } else {
         const int64_t* ints = col.Int64Data();
         for (size_t r = 0; r < n; ++r) {

@@ -65,7 +65,7 @@ Result<Column> DecodeV3StringColumn(std::string_view block,
                                     std::string_view validity,
                                     std::string name, size_t rows);
 
-/// The format's FNV-1a (same function that checksums v1/v2 payloads).
+/// The format's FNV-1a (the payload and index checksum function).
 uint64_t ColumnarFnv1a64(std::string_view data);
 
 }  // namespace arda::df::internal

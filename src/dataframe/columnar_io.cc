@@ -23,12 +23,7 @@ namespace {
 constexpr char kMagic[4] = {'A', 'R', 'D', 'C'};
 constexpr char kMetaMagic[4] = {'A', 'R', 'D', 'M'};
 constexpr uint32_t kFormatVersion = 3;
-constexpr uint32_t kV2FormatVersion = 2;
-constexpr uint32_t kLegacyFormatVersion = 1;
 constexpr uint32_t kMetaVersion = 1;
-// v1/v2 header; the v3 header adds index_end + index checksum
-// (internal::kV3HeaderSize == 48).
-constexpr size_t kHeaderSize = 32;
 // Decode-time sanity bounds for sketch sizes; real sketches are
 // kHllRegisters / kStatsMinHashHashes, corrupt lengths fail fast instead
 // of allocating gigabytes.
@@ -119,66 +114,7 @@ struct Cursor {
   }
 };
 
-// Serializes every column of `frame` (the version-independent part of the
-// payload).
-void AppendColumnsPayload(const DataFrame& frame, std::string* out) {
-  const size_t rows = frame.NumRows();
-  std::string& payload = *out;
-  for (size_t c = 0; c < frame.NumCols(); ++c) {
-    const Column& col = frame.col(c);
-    PutU32(&payload, static_cast<uint32_t>(col.name().size()));
-    payload += col.name();
-    uint8_t type = kTypeString;
-    switch (col.type()) {
-      case DataType::kDouble:
-        type = kTypeDouble;
-        break;
-      case DataType::kInt64:
-        type = kTypeInt64;
-        break;
-      case DataType::kString:
-        type = kTypeString;
-        break;
-    }
-    payload.push_back(static_cast<char>(type));
-    // Validity bitmap, LSB-first within each byte.
-    const size_t bitmap_bytes = (rows + 7) / 8;
-    size_t bitmap_start = payload.size();
-    payload.append(bitmap_bytes, '\0');
-    for (size_t r = 0; r < rows; ++r) {
-      if (!col.IsNull(r)) {
-        payload[bitmap_start + r / 8] |=
-            static_cast<char>(1u << (r % 8));
-      }
-    }
-    switch (col.type()) {
-      case DataType::kDouble:
-        for (size_t r = 0; r < rows; ++r) {
-          PutDouble(&payload, col.IsNull(r) ? 0.0 : col.DoubleAt(r));
-        }
-        break;
-      case DataType::kInt64:
-        for (size_t r = 0; r < rows; ++r) {
-          PutU64(&payload, static_cast<uint64_t>(
-                               col.IsNull(r) ? 0 : col.Int64At(r)));
-        }
-        break;
-      case DataType::kString:
-        for (size_t r = 0; r < rows; ++r) {
-          if (col.IsNull(r)) {
-            PutU32(&payload, 0);
-            continue;
-          }
-          const std::string& s = col.StringAt(r);
-          PutU32(&payload, static_cast<uint32_t>(s.size()));
-          payload += s;
-        }
-        break;
-    }
-  }
-}
-
-// Appends the version-2 meta block: fingerprint of the source file plus
+// Appends the meta block: fingerprint of the source file plus
 // the optional per-column statistics catalog. `meta` may be null (unknown
 // fingerprint, no stats).
 void AppendMetaBlock(const DataFrame& frame, const ColumnarMeta* meta,
@@ -205,20 +141,6 @@ void AppendMetaBlock(const DataFrame& frame, const ColumnarMeta* meta,
   }
 }
 
-std::string AssembleFile(uint32_t version, size_t rows, size_t cols,
-                         const std::string& payload) {
-  std::string out;
-  out.reserve(kHeaderSize + payload.size());
-  out.append(kMagic, sizeof(kMagic));
-  PutU32(&out, version);
-  PutU64(&out, static_cast<uint64_t>(rows));
-  PutU32(&out, static_cast<uint32_t>(cols));
-  PutU32(&out, 0);  // reserved
-  PutU64(&out, Fnv1a64(payload));
-  out += payload;
-  return out;
-}
-
 uint8_t TypeByteOf(DataType type) {
   switch (type) {
     case DataType::kDouble:
@@ -231,12 +153,14 @@ uint8_t TypeByteOf(DataType type) {
   return kTypeString;
 }
 
+}  // namespace
+
 // Serializes `frame` in the version-3 layout: fixed-offset column index
 // right after the 48-byte header, then validity bytes (one 0/1 byte per
 // row) and data blocks, numeric data padded to 8-byte alignment so a
 // mapped reader can borrow it in place.
-std::string WriteColumnarStringV3(const DataFrame& frame,
-                                  const ColumnarMeta* meta) {
+std::string WriteColumnarString(const DataFrame& frame,
+                                const ColumnarMeta* meta) {
   const size_t rows = frame.NumRows();
   const size_t cols = frame.NumCols();
 
@@ -333,29 +257,6 @@ std::string WriteColumnarStringV3(const DataFrame& frame,
   return out;
 }
 
-}  // namespace
-
-std::string WriteColumnarString(const DataFrame& frame,
-                                const ColumnarMeta* meta) {
-  return WriteColumnarStringV3(frame, meta);
-}
-
-std::string WriteColumnarStringV1(const DataFrame& frame) {
-  std::string payload;
-  AppendColumnsPayload(frame, &payload);
-  return AssembleFile(kLegacyFormatVersion, frame.NumRows(),
-                      frame.NumCols(), payload);
-}
-
-std::string WriteColumnarStringV2(const DataFrame& frame,
-                                  const ColumnarMeta* meta) {
-  std::string payload;
-  AppendColumnsPayload(frame, &payload);
-  AppendMetaBlock(frame, meta, &payload);
-  return AssembleFile(kV2FormatVersion, frame.NumRows(), frame.NumCols(),
-                      payload);
-}
-
 Status WriteColumnar(const DataFrame& frame, const std::string& path,
                      const ColumnarMeta* meta) {
   trace::StageScope scope("ingest/columnar_write");
@@ -387,7 +288,7 @@ Status WriteColumnar(const DataFrame& frame, const std::string& path,
 
 namespace {
 
-// Decodes the version-2 meta block (fingerprint + stats catalog) into
+// Decodes the meta block (fingerprint + stats catalog) into
 // `meta`. Carries the `stats_decode` fault site so the degradation path —
 // corrupt stats never crash, the cache read fails with a Status and the
 // loader falls back to the CSV — stays testable.
@@ -451,13 +352,16 @@ Status DecodeMetaBlock(Cursor* in, uint32_t cols, ColumnarMeta* meta) {
   return Status::Ok();
 }
 
-// Eager version-3 read: parse + fully validate the column index, check
-// the whole-payload checksum, then bulk-decode every column. Numeric
-// blocks are 8-byte-aligned u64-LE runs, so they reuse the same SIMD
-// decode as v1/v2; validity is already byte-per-row and copies straight
-// into the column mask.
-Result<DataFrame> ReadColumnarStringV3(std::string_view data,
-                                       ColumnarMeta* meta) {
+}  // namespace
+
+// Eager read: parse + fully validate the column index (which also checks
+// magic and version), check the whole-payload checksum, then bulk-decode
+// every column. Numeric blocks are 8-byte-aligned u64-LE runs decoded in
+// bulk; validity is byte-per-row and copies straight into the column
+// mask.
+Result<DataFrame> ReadColumnarString(std::string_view data,
+                                     ColumnarMeta* meta) {
+  if (meta != nullptr) *meta = ColumnarMeta{};
   internal::V3Index index;
   ARDA_RETURN_IF_ERROR(
       internal::ParseV3Index(data, data.size(), &index));
@@ -503,144 +407,6 @@ Result<DataFrame> ReadColumnarStringV3(std::string_view data,
   ARDA_RETURN_IF_ERROR(internal::DecodeMetaBlockRange(
       data.substr(index.meta_off, index.meta_len), index.cols,
       meta == nullptr ? &local_meta : meta));
-  return frame;
-}
-
-}  // namespace
-
-Result<DataFrame> ReadColumnarString(std::string_view data,
-                                     ColumnarMeta* meta) {
-  if (meta != nullptr) *meta = ColumnarMeta{};
-  Cursor in{data};
-  std::string_view magic;
-  ARDA_RETURN_IF_ERROR(in.GetBytes(&magic, 4, "magic"));
-  if (magic != std::string_view(kMagic, sizeof(kMagic))) {
-    return Status::InvalidArgument(
-        "not a columnar table file (bad magic)");
-  }
-  uint32_t version = 0;
-  ARDA_RETURN_IF_ERROR(in.GetU32(&version, "version"));
-  if (version < kLegacyFormatVersion || version > kFormatVersion) {
-    return Status::FailedPrecondition(
-        StrFormat("columnar format version skew: file has %u, reader "
-                  "supports %u",
-                  version, kFormatVersion));
-  }
-  if (version == kFormatVersion) {
-    return ReadColumnarStringV3(data, meta);
-  }
-  uint64_t rows64 = 0;
-  uint32_t cols = 0;
-  uint32_t reserved = 0;
-  uint64_t checksum = 0;
-  ARDA_RETURN_IF_ERROR(in.GetU64(&rows64, "row count"));
-  ARDA_RETURN_IF_ERROR(in.GetU32(&cols, "column count"));
-  ARDA_RETURN_IF_ERROR(in.GetU32(&reserved, "reserved"));
-  ARDA_RETURN_IF_ERROR(in.GetU64(&checksum, "checksum"));
-  if (rows64 > std::numeric_limits<size_t>::max() / 8) {
-    return Status::InvalidArgument("columnar row count is implausible");
-  }
-  const size_t rows = static_cast<size_t>(rows64);
-
-  std::string_view payload = data.substr(kHeaderSize);
-  if (Fnv1a64(payload) != checksum) {
-    return Status::FailedPrecondition(
-        "columnar payload checksum mismatch (corrupted file)");
-  }
-
-  DataFrame frame;
-  for (uint32_t c = 0; c < cols; ++c) {
-    uint32_t name_len = 0;
-    ARDA_RETURN_IF_ERROR(in.GetU32(&name_len, "column name length"));
-    std::string_view name;
-    ARDA_RETURN_IF_ERROR(in.GetBytes(&name, name_len, "column name"));
-    std::string_view type_byte;
-    ARDA_RETURN_IF_ERROR(in.GetBytes(&type_byte, 1, "column type"));
-    DataType type;
-    switch (static_cast<uint8_t>(type_byte[0])) {
-      case kTypeDouble:
-        type = DataType::kDouble;
-        break;
-      case kTypeInt64:
-        type = DataType::kInt64;
-        break;
-      case kTypeString:
-        type = DataType::kString;
-        break;
-      default:
-        return Status::InvalidArgument(
-            StrFormat("unknown columnar column type %u",
-                      static_cast<unsigned>(
-                          static_cast<uint8_t>(type_byte[0]))));
-    }
-    std::string_view bitmap;
-    ARDA_RETURN_IF_ERROR(
-        in.GetBytes(&bitmap, (rows + 7) / 8, "null bitmap"));
-    auto is_valid = [&](size_t r) {
-      return (static_cast<unsigned char>(bitmap[r / 8]) >> (r % 8)) & 1u;
-    };
-
-    // Numeric columns decode their fixed-width blob in bulk through the
-    // all-valid factory constructors, then punch null holes; this is the
-    // hot path that makes cache loads several times faster than a CSV
-    // re-parse.
-    Column col = Column::Empty(std::string(name), type);
-    switch (type) {
-      case DataType::kDouble: {
-        std::string_view values;
-        ARDA_RETURN_IF_ERROR(
-            in.GetBytes(&values, rows * 8, "double values"));
-        std::vector<double> decoded(rows);
-        simd::DecodeU64LeToDouble(values.data(), rows, decoded.data());
-        col = Column::Double(std::string(name), std::move(decoded));
-        std::vector<uint8_t> valid(rows);
-        simd::ExpandValidityBitmap(
-            reinterpret_cast<const uint8_t*>(bitmap.data()), rows,
-            valid.data());
-        col.SetValidity(std::move(valid));
-        break;
-      }
-      case DataType::kInt64: {
-        std::string_view values;
-        ARDA_RETURN_IF_ERROR(
-            in.GetBytes(&values, rows * 8, "int64 values"));
-        std::vector<int64_t> decoded(rows);
-        simd::DecodeU64LeToInt64(values.data(), rows, decoded.data());
-        col = Column::Int64(std::string(name), std::move(decoded));
-        std::vector<uint8_t> valid(rows);
-        simd::ExpandValidityBitmap(
-            reinterpret_cast<const uint8_t*>(bitmap.data()), rows,
-            valid.data());
-        col.SetValidity(std::move(valid));
-        break;
-      }
-      case DataType::kString: {
-        col.Reserve(rows);
-        for (size_t r = 0; r < rows; ++r) {
-          uint32_t len = 0;
-          ARDA_RETURN_IF_ERROR(in.GetU32(&len, "string length"));
-          std::string_view bytes;
-          ARDA_RETURN_IF_ERROR(in.GetBytes(&bytes, len, "string bytes"));
-          if (is_valid(r)) {
-            col.AppendString(std::string(bytes));
-          } else {
-            col.AppendNull();
-          }
-        }
-        break;
-      }
-    }
-    ARDA_RETURN_IF_ERROR(frame.AddColumn(std::move(col)));
-  }
-  if (version >= 2) {
-    ColumnarMeta local_meta;
-    ARDA_RETURN_IF_ERROR(
-        DecodeMetaBlock(&in, cols, meta == nullptr ? &local_meta : meta));
-  }
-  if (in.Remaining() != 0) {
-    return Status::InvalidArgument(
-        StrFormat("columnar data has %zu trailing bytes", in.Remaining()));
-  }
   return frame;
 }
 

@@ -19,7 +19,7 @@
 /// docs/columnar_format.md):
 ///
 ///   [0)  magic "ARDC" (4 bytes)
-///   [4)  u32 format version (currently 3; version 1/2 files still load)
+///   [4)  u32 format version (3; any other version fails to read)
 ///   [8)  u64 row count
 ///   [16) u32 column count
 ///   [20) u32 reserved (0)
@@ -35,17 +35,15 @@
 ///          validity: `rows` bytes, one 0/1 byte per row (1 = valid)
 ///          numeric data: rows * 8 bytes at an 8-byte-aligned offset
 ///          string data: u32 length + bytes per row (nulls: length 0)
-///        and the meta block ("ARDM", fingerprint + stats catalog —
-///        same encoding as version 2); EOF == meta offset + meta length
+///        and the meta block ("ARDM", fingerprint + stats catalog);
+///        EOF == meta offset + meta length
 ///
 /// The fixed-offset index is what makes v3 mmap-able (see
 /// dataframe/mapped_columnar.h): a mapped open validates the header, the
 /// index checksum and every recorded extent against the real file size
 /// before the first payload access, so truncation surfaces as Status —
 /// never SIGBUS — and validity/numeric blocks can then be borrowed
-/// zero-copy straight out of the mapping. Versions 1/2 pack a null
-/// *bitmap* and unaligned values (docs/columnar_format.md keeps their
-/// layout) and always load through the eager path.
+/// zero-copy straight out of the mapping.
 ///
 /// Readers validate magic, version, checksum and every length before
 /// touching the data, and return `Status` — never crash — on truncated,
@@ -57,7 +55,7 @@ namespace arda::df {
 /// Sidecar metadata persisted with a cached table: a fingerprint of the
 /// source CSV (for content-based cache freshness) and the per-column
 /// statistics catalog. `source_size`/`source_hash` of 0 and an empty
-/// `stats` mean "unknown" — version-1 files read back this way.
+/// `stats` mean "unknown".
 struct ColumnarMeta {
   uint64_t source_size = 0;
   uint64_t source_hash = 0;
@@ -69,16 +67,6 @@ struct ColumnarMeta {
 std::string WriteColumnarString(const DataFrame& frame,
                                 const ColumnarMeta* meta = nullptr);
 
-/// Serializes `frame` in the legacy version-1 layout (no meta block) —
-/// kept so backward-compatibility can be tested against real v1 bytes.
-std::string WriteColumnarStringV1(const DataFrame& frame);
-
-/// Serializes `frame` in the legacy version-2 layout (meta block, packed
-/// null bitmap, no column index) — kept so backward-compatibility can be
-/// tested against real v2 bytes.
-std::string WriteColumnarStringV2(const DataFrame& frame,
-                                  const ColumnarMeta* meta = nullptr);
-
 /// Writes `frame` to `path` in the `.ardac` format. The bytes land in a
 /// sibling temp file first and are rename()d into place, so a concurrent
 /// reader — in particular an mmap of the previous cache generation —
@@ -86,11 +74,11 @@ std::string WriteColumnarStringV2(const DataFrame& frame,
 Status WriteColumnar(const DataFrame& frame, const std::string& path,
                      const ColumnarMeta* meta = nullptr);
 
-/// Deserializes a `.ardac` byte buffer (version 1, 2 or 3). Fails with
+/// Deserializes a `.ardac` byte buffer (version 3 only). Fails with
 /// InvalidArgument on bad magic / truncation / trailing garbage /
-/// corrupted lengths, and with FailedPrecondition on version skew or a
-/// checksum mismatch. When `meta` is non-null it receives the decoded
-/// meta block (defaults for version-1 input).
+/// corrupted lengths, and with FailedPrecondition on version skew
+/// (including the retired versions 1 and 2) or a checksum mismatch. When
+/// `meta` is non-null it receives the decoded meta block.
 Result<DataFrame> ReadColumnarString(std::string_view data,
                                      ColumnarMeta* meta = nullptr);
 

@@ -46,9 +46,7 @@ struct Mapping {
 
 }  // namespace
 
-Result<DataFrame> MapColumnar(const std::string& path, ColumnarMeta* meta,
-                              bool* unsupported_version) {
-  if (unsupported_version != nullptr) *unsupported_version = false;
+Result<DataFrame> MapColumnar(const std::string& path, ColumnarMeta* meta) {
   if (meta != nullptr) *meta = ColumnarMeta{};
   ARDA_FAULT_POINT(fault::kColumnarMap);
   trace::StageScope scope("ingest/columnar_map");
@@ -92,25 +90,6 @@ Result<DataFrame> MapColumnar(const std::string& path, ColumnarMeta* meta,
   ::madvise(addr, static_cast<size_t>(file_size), MADV_RANDOM);
   const char* base = static_cast<const char*>(addr);
   std::string_view data(base, static_cast<size_t>(file_size));
-
-  // A well-formed v1/v2 file is not an error of the *file* — it predates
-  // the index this reader needs. Flag it so the loader falls through to
-  // the eager reader without recording a cache fallback.
-  if (data.substr(0, 4) == "ARDC") {
-    uint32_t version = 0;
-    for (int i = 0; i < 4; ++i) {
-      version |= static_cast<uint32_t>(
-                     static_cast<unsigned char>(data[4 + i]))
-                 << (8 * i);
-    }
-    if (version >= 1 && version < 3) {
-      if (unsupported_version != nullptr) *unsupported_version = true;
-      return Status::FailedPrecondition(
-          StrFormat("columnar file is version %u; mapped open needs the "
-                    "version-3 column index",
-                    version));
-    }
-  }
 
   internal::V3Index index;
   ARDA_RETURN_IF_ERROR(internal::ParseV3Index(data, file_size, &index));
@@ -176,9 +155,7 @@ Result<DataFrame> MapColumnar(const std::string& path, ColumnarMeta* meta,
 
 #else  // !ARDA_HAVE_MMAP
 
-Result<DataFrame> MapColumnar(const std::string& path, ColumnarMeta* meta,
-                              bool* unsupported_version) {
-  if (unsupported_version != nullptr) *unsupported_version = false;
+Result<DataFrame> MapColumnar(const std::string& path, ColumnarMeta* meta) {
   if (meta != nullptr) *meta = ColumnarMeta{};
   (void)path;
   return Status::FailedPrecondition(

@@ -36,16 +36,13 @@ namespace arda::df {
 
 /// Maps `path` (a `.ardac` version-3 file) and returns a DataFrame whose
 /// numeric columns borrow the mapping zero-copy; string columns and the
-/// meta block decode eagerly. On a version-1/2 file fails with
-/// FailedPrecondition and sets `*unsupported_version` to true (when
-/// non-null) so callers can fall back to the eager reader without
-/// recording a cache fallback. Any other failure (missing file, mmap
-/// error, truncation, index corruption) leaves it false. Carries the
+/// meta block decode eagerly. Fails with a Status on a missing file, an
+/// mmap error, truncation, index corruption or a version other than 3
+/// (FailedPrecondition, as the eager reader). Carries the
 /// `fault::kColumnarMap` injection site. On non-POSIX builds always
 /// fails with FailedPrecondition.
 Result<DataFrame> MapColumnar(const std::string& path,
-                              ColumnarMeta* meta = nullptr,
-                              bool* unsupported_version = nullptr);
+                              ColumnarMeta* meta = nullptr);
 
 }  // namespace arda::df
 

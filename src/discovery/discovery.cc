@@ -4,7 +4,6 @@
 #include <memory>
 #include <set>
 
-#include "discovery/minhash.h"
 #include "util/string_util.h"
 
 namespace arda::discovery {
@@ -51,20 +50,15 @@ double RangeOverlapFromStats(const df::ColumnStats& base,
 
 namespace {
 
-// Hard-key containment scorer for one DiscoverCandidates call. Per-column
-// state (MinHash signatures in kMinHash mode) is built at most once per
-// column — the former per-pair signature rebuild in the innermost loop
-// made MinHash mode more expensive than the exact rescan it replaced.
+// Hard-key containment scorer for one DiscoverCandidates call. In
+// kCatalog mode the base table's statistics are looked up (or computed)
+// once per call, the foreign table's once per table.
 class HardKeyScorer {
  public:
   HardKeyScorer(const DiscoveryOptions& options, const DataRepository& repo,
                 const std::string& base_name, const df::DataFrame& base)
-      : options_(options), repo_(repo), base_(base) {
-    scoring_ = options.use_minhash ? DiscoveryScoring::kMinHash
-                                   : options.scoring;
-    if (scoring_ == DiscoveryScoring::kMinHash) {
-      base_signatures_.resize(base.NumCols());
-    } else if (scoring_ == DiscoveryScoring::kCatalog) {
+      : repo_(repo), base_(base), scoring_(options.scoring) {
+    if (scoring_ == DiscoveryScoring::kCatalog) {
       base_stats_ = repo.Stats(base_name);
       // A base table supplied outside the repository has no catalog
       // entry; score it from a locally computed one.
@@ -80,22 +74,17 @@ class HardKeyScorer {
   void BeginTable(const std::string& table_name,
                   const df::DataFrame& foreign) {
     foreign_ = &foreign;
-    if (scoring_ == DiscoveryScoring::kMinHash) {
-      foreign_signatures_.clear();
-      foreign_signatures_.resize(foreign.NumCols());
-    } else if (scoring_ == DiscoveryScoring::kCatalog) {
+    if (scoring_ == DiscoveryScoring::kCatalog) {
       foreign_stats_ = repo_.Stats(table_name);
     }
   }
 
   // Estimated (or exact) containment of base column `bi`'s distinct
   // values in foreign column `fi`'s.
-  double Containment(size_t bi, size_t fi) {
+  double Containment(size_t bi, size_t fi) const {
     switch (scoring_) {
       case DiscoveryScoring::kExact:
         return IntersectionScore(base_.col(bi), foreign_->col(fi));
-      case DiscoveryScoring::kMinHash:
-        return BaseSignature(bi).EstimateContainment(ForeignSignature(fi));
       case DiscoveryScoring::kCatalog:
         if (foreign_stats_ == nullptr) {
           return IntersectionScore(base_.col(bi), foreign_->col(fi));
@@ -117,34 +106,14 @@ class HardKeyScorer {
   }
 
  private:
-  const MinHashSignature& BaseSignature(size_t bi) {
-    if (base_signatures_[bi] == nullptr) {
-      base_signatures_[bi] = std::make_unique<MinHashSignature>(
-          base_.col(bi), options_.minhash_hashes);
-    }
-    return *base_signatures_[bi];
-  }
-
-  const MinHashSignature& ForeignSignature(size_t fi) {
-    if (foreign_signatures_[fi] == nullptr) {
-      foreign_signatures_[fi] = std::make_unique<MinHashSignature>(
-          foreign_->col(fi), options_.minhash_hashes);
-    }
-    return *foreign_signatures_[fi];
-  }
-
-  const DiscoveryOptions& options_;
   const DataRepository& repo_;
   const df::DataFrame& base_;
   const df::DataFrame* foreign_ = nullptr;
-  DiscoveryScoring scoring_ = DiscoveryScoring::kCatalog;
+  const DiscoveryScoring scoring_;
   // kCatalog state.
   const df::TableStats* base_stats_ = nullptr;
   const df::TableStats* foreign_stats_ = nullptr;
   std::unique_ptr<df::TableStats> local_base_stats_;
-  // kMinHash state: signatures built lazily, once per column.
-  std::vector<std::unique_ptr<MinHashSignature>> base_signatures_;
-  std::vector<std::unique_ptr<MinHashSignature>> foreign_signatures_;
 };
 
 }  // namespace

@@ -16,11 +16,6 @@ enum class DiscoveryScoring {
   /// Exact containment by rescanning both columns' distinct values —
   /// O(values) per column pair, the reference scorer.
   kExact,
-  /// Per-call MinHash signatures (containment estimated from the
-  /// sketches). Signatures are built once per column per call — how
-  /// index-based discovery systems (Aurum) avoid comparing full value
-  /// sets — but still rebuilt on every call.
-  kMinHash,
   /// The repository's persisted statistics catalog
   /// (DataRepository::Stats): sketch containment for hard keys, stored
   /// min/max for range overlap. No column rescans at all — the default.
@@ -39,10 +34,6 @@ struct DiscoveryOptions {
   bool require_name_match = true;
   /// Hard-key scoring backend (see DiscoveryScoring).
   DiscoveryScoring scoring = DiscoveryScoring::kCatalog;
-  /// Legacy alias: forces kMinHash scoring regardless of `scoring`.
-  bool use_minhash = false;
-  /// Signature width for kMinHash scoring.
-  size_t minhash_hashes = 64;
 };
 
 /// Fraction of the base column's distinct values that also appear in the

@@ -25,14 +25,12 @@ struct IngestSkip {
 struct LoadOptions {
   /// CSV parsing options used when a table is (re-)parsed from source.
   df::CsvOptions csv;
-  /// Serve fresh version-3 `.ardac` caches through an mmap
-  /// (df::MapColumnar) instead of an eager read: numeric columns borrow
-  /// the mapping zero-copy and pages fault in lazily, so resident memory
-  /// scales with the columns actually touched — the out-of-core
-  /// repository mode. Version-1/2 caches silently fall through to the
-  /// eager reader (they predate the mmap-able column index; no fallback
-  /// is recorded); any *failed* map degrades exactly like a failed eager
-  /// read (CSV re-parse + `stats->fallbacks` entry).
+  /// Serve fresh `.ardac` caches through an mmap (df::MapColumnar)
+  /// instead of an eager read: numeric columns borrow the mapping
+  /// zero-copy and pages fault in lazily, so resident memory scales with
+  /// the columns actually touched — the out-of-core repository mode. A
+  /// failed map degrades exactly like a failed eager read (CSV re-parse +
+  /// `stats->fallbacks` entry).
   bool map_cache = false;
 };
 
@@ -103,14 +101,12 @@ class DataRepository {
   /// if needed and consulted first: a `<stem>.ardac` file whose recorded
   /// source fingerprint (size + FNV-1a hash of the CSV bytes) matches is
   /// deserialized instead of parsing the CSV (docs/columnar_format.md) and
-  /// its persisted statistics catalog is installed; fingerprint-less
-  /// version-1 caches fall back to an mtime comparison in which equal
-  /// timestamps count as STALE (a CSV rewritten within the filesystem's
-  /// timestamp granularity must not be served from cache). A missing/stale
-  /// cache entry is rewritten after the CSV parse (best-effort), with the
-  /// fingerprint and freshly computed stats. Any columnar failure —
-  /// corruption, version skew, injected `columnar_read`/`stats_decode`
-  /// fault — degrades to the CSV path and is recorded in
+  /// its persisted statistics catalog is installed; a cache without a
+  /// fingerprint is stale whatever its mtime. A missing/stale cache entry
+  /// is rewritten after the CSV parse (best-effort), with the fingerprint
+  /// and freshly computed stats. Any columnar failure — corruption,
+  /// version skew (any version but 3), injected `columnar_read`/
+  /// `stats_decode` fault — degrades to the CSV path and is recorded in
   /// `stats->fallbacks` (plus a `skips.ingest` counter increment); a CSV
   /// that fails to read or parse lands in `stats->failures` and the table
   /// is skipped. Only an unreadable `data_dir` fails the call. `stats`

@@ -222,17 +222,6 @@ size_t GroupLookup(const uint64_t* table_hashes, const uint32_t* table_ids,
                            walk_rows);
 }
 
-void CountPerGroup(const uint64_t* gids, const uint8_t* valid, size_t n,
-                   size_t* counts) {
-  ARDA_SIMD_DISPATCH(CountPerGroup, gids, valid, n, counts);
-}
-
-void ScatterByGroup(const double* values, const uint8_t* valid,
-                    const uint64_t* gids, size_t n, size_t* cursor,
-                    double* out) {
-  ARDA_SIMD_DISPATCH(ScatterByGroup, values, valid, gids, n, cursor, out);
-}
-
 void ClassSquares(const double* left_counts, const double* class_counts,
                   size_t num_classes, double* left_sq, double* right_sq) {
   ARDA_SIMD_DISPATCH(ClassSquares, left_counts, class_counts, num_classes,
@@ -261,10 +250,6 @@ void DecodeU64LeToDouble(const char* src, size_t n, double* dst) {
 
 void DecodeU64LeToInt64(const char* src, size_t n, int64_t* dst) {
   ARDA_SIMD_DISPATCH(DecodeU64LeToInt64, src, n, dst);
-}
-
-void ExpandValidityBitmap(const uint8_t* bitmap, size_t n, uint8_t* valid) {
-  ARDA_SIMD_DISPATCH(ExpandValidityBitmap, bitmap, n, valid);
 }
 
 #undef ARDA_SIMD_DISPATCH

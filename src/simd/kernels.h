@@ -24,11 +24,6 @@ namespace arda::simd::internal {
       const uint32_t* tuple_store, const uint32_t* ids, size_t num_cols,    \
       size_t stride, uint64_t mask, const uint64_t* hashes, size_t n,        \
       uint64_t* gids, uint32_t* walk_rows);                                  \
-  void CountPerGroup_##suffix(const uint64_t* gids, const uint8_t* valid,    \
-                              size_t n, size_t* counts);                     \
-  void ScatterByGroup_##suffix(const double* values, const uint8_t* valid,   \
-                               const uint64_t* gids, size_t n,               \
-                               size_t* cursor, double* out);                 \
   void ClassSquares_##suffix(const double* left_counts,                      \
                              const double* class_counts, size_t num_classes, \
                              double* left_sq, double* right_sq);             \
@@ -41,9 +36,7 @@ namespace arda::simd::internal {
                                       const double* base, size_t num_points, \
                                       size_t dims, double* out);             \
   void DecodeU64LeToDouble_##suffix(const char* src, size_t n, double* dst); \
-  void DecodeU64LeToInt64_##suffix(const char* src, size_t n, int64_t* dst); \
-  void ExpandValidityBitmap_##suffix(const uint8_t* bitmap, size_t n,        \
-                                     uint8_t* valid);
+  void DecodeU64LeToInt64_##suffix(const char* src, size_t n, int64_t* dst);
 
 ARDA_SIMD_KERNEL_DECLS(Scalar)
 #if ARDA_SIMD_COMPILED_AVX2

@@ -225,71 +225,6 @@ size_t GroupLookup_Avx2(const uint64_t* table_hashes,
   return walk_count;
 }
 
-void CountPerGroup_Avx2(const uint64_t* gids, const uint8_t* valid,
-                        size_t n, size_t* counts) {
-  if (valid == nullptr) {
-    for (size_t r = 0; r < n; ++r) ++counts[gids[r]];
-    return;
-  }
-  const __m256i zero = _mm256_setzero_si256();
-  const size_t vec = n & ~size_t{31};
-  size_t r = 0;
-  for (; r < vec; r += 32) {
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(valid + r));
-    uint32_t m = ~static_cast<uint32_t>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, zero)));
-    if (m == 0) continue;
-    if (m == 0xFFFFFFFFu) {
-      for (size_t j = 0; j < 32; ++j) ++counts[gids[r + j]];
-      continue;
-    }
-    while (m != 0) {
-      const unsigned j = static_cast<unsigned>(__builtin_ctz(m));
-      m &= m - 1;
-      ++counts[gids[r + j]];
-    }
-  }
-  for (; r < n; ++r) {
-    if (valid[r]) ++counts[gids[r]];
-  }
-}
-
-void ScatterByGroup_Avx2(const double* values, const uint8_t* valid,
-                         const uint64_t* gids, size_t n, size_t* cursor,
-                         double* out) {
-  if (valid == nullptr) {
-    for (size_t r = 0; r < n; ++r) out[cursor[gids[r]]++] = values[r];
-    return;
-  }
-  const __m256i zero = _mm256_setzero_si256();
-  const size_t vec = n & ~size_t{31};
-  size_t r = 0;
-  for (; r < vec; r += 32) {
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(valid + r));
-    uint32_t m = ~static_cast<uint32_t>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, zero)));
-    if (m == 0) continue;
-    if (m == 0xFFFFFFFFu) {
-      for (size_t j = 0; j < 32; ++j) {
-        out[cursor[gids[r + j]]++] = values[r + j];
-      }
-      continue;
-    }
-    // ctz visits set bits in ascending row order, preserving the
-    // per-group value order the ordered aggregates rely on.
-    while (m != 0) {
-      const unsigned j = static_cast<unsigned>(__builtin_ctz(m));
-      m &= m - 1;
-      out[cursor[gids[r + j]]++] = values[r + j];
-    }
-  }
-  for (; r < n; ++r) {
-    if (valid[r]) out[cursor[gids[r]]++] = values[r];
-  }
-}
-
 void ClassSquares_Avx2(const double* left_counts,
                        const double* class_counts, size_t num_classes,
                        double* left_sq, double* right_sq) {
@@ -508,34 +443,6 @@ void DecodeU64LeToInt64_Avx2(const char* src, size_t n, int64_t* dst) {
   }
   for (size_t i = vec; i < n; ++i) {
     std::memcpy(dst + i, src + i * 8, sizeof(int64_t));
-  }
-}
-
-void ExpandValidityBitmap_Avx2(const uint8_t* bitmap, size_t n,
-                               uint8_t* valid) {
-  // 32 bits -> 32 bytes per step: broadcast a 4-byte bitmap word,
-  // shuffle each source byte across its 8 output lanes, isolate each
-  // lane's bit and normalize to 0/1.
-  const __m256i sel = _mm256_setr_epi8(
-      0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1,  //
-      2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3);
-  const __m256i bits = _mm256_setr_epi8(
-      1, 2, 4, 8, 16, 32, 64, -128, 1, 2, 4, 8, 16, 32, 64, -128,  //
-      1, 2, 4, 8, 16, 32, 64, -128, 1, 2, 4, 8, 16, 32, 64, -128);
-  const __m256i ones = _mm256_set1_epi8(1);
-  const size_t vec = n & ~size_t{31};
-  for (size_t i = 0; i < vec; i += 32) {
-    uint32_t word;
-    std::memcpy(&word, bitmap + (i >> 3), sizeof word);
-    const __m256i bytes = _mm256_shuffle_epi8(
-        _mm256_set1_epi32(static_cast<int>(word)), sel);
-    const __m256i hit =
-        _mm256_cmpeq_epi8(_mm256_and_si256(bytes, bits), bits);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(valid + i),
-                        _mm256_and_si256(hit, ones));
-  }
-  for (size_t i = vec; i < n; ++i) {
-    valid[i] = (bitmap[i >> 3] >> (i & 7)) & 1u;
   }
 }
 

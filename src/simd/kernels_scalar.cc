@@ -83,29 +83,6 @@ size_t GroupLookup_Scalar(const uint64_t* table_hashes,
   return walk_count;
 }
 
-void CountPerGroup_Scalar(const uint64_t* gids, const uint8_t* valid,
-                          size_t n, size_t* counts) {
-  if (valid == nullptr) {
-    for (size_t r = 0; r < n; ++r) ++counts[gids[r]];
-    return;
-  }
-  for (size_t r = 0; r < n; ++r) {
-    if (valid[r]) ++counts[gids[r]];
-  }
-}
-
-void ScatterByGroup_Scalar(const double* values, const uint8_t* valid,
-                           const uint64_t* gids, size_t n, size_t* cursor,
-                           double* out) {
-  if (valid == nullptr) {
-    for (size_t r = 0; r < n; ++r) out[cursor[gids[r]]++] = values[r];
-    return;
-  }
-  for (size_t r = 0; r < n; ++r) {
-    if (valid[r]) out[cursor[gids[r]]++] = values[r];
-  }
-}
-
 void ClassSquares_Scalar(const double* left_counts,
                          const double* class_counts, size_t num_classes,
                          double* left_sq, double* right_sq) {
@@ -191,13 +168,6 @@ void DecodeU64LeToInt64_Scalar(const char* src, size_t n, int64_t* dst) {
     uint64_t bits = 0;
     for (int b = 7; b >= 0; --b) bits = (bits << 8) | p[b];
     dst[i] = static_cast<int64_t>(bits);
-  }
-}
-
-void ExpandValidityBitmap_Scalar(const uint8_t* bitmap, size_t n,
-                                 uint8_t* valid) {
-  for (size_t i = 0; i < n; ++i) {
-    valid[i] = (bitmap[i >> 3] >> (i & 7)) & 1u;
   }
 }
 

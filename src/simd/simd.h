@@ -16,7 +16,7 @@
 ///
 /// Determinism contract: for every kernel, the AVX2 path produces
 /// bit-identical output to the scalar path on the kernel's input domain.
-/// Integer kernels (hashing, table probes, bitmap expansion, gathers) are
+/// Integer kernels (hashing, table probes, gathers) are
 /// exact by construction. Floating-point kernels either perform no
 /// accumulation (gathers, decodes), accumulate values that are exactly
 /// representable whole numbers so any association order yields the same
@@ -144,23 +144,7 @@ size_t GroupLookup(const uint64_t* table_hashes, const uint32_t* table_ids,
                    uint32_t* walk_rows);
 
 // ---------------------------------------------------------------------------
-// Kernel 2: CSR group-by bucketing (GroupByAggregate).
-// ---------------------------------------------------------------------------
-
-/// counts[gids[r]] += 1 for every valid row. `valid` holds 0/1 bytes
-/// (Column validity storage); nullptr means all rows are valid.
-void CountPerGroup(const uint64_t* gids, const uint8_t* valid, size_t n,
-                   size_t* counts);
-
-/// CSR scatter: out[cursor[gids[r]]++] = values[r] for every valid row,
-/// in ascending row order (the per-group value order GroupByAggregate's
-/// ordered aggregates depend on). `valid` as in CountPerGroup.
-void ScatterByGroup(const double* values, const uint8_t* valid,
-                    const uint64_t* gids, size_t n, size_t* cursor,
-                    double* out);
-
-// ---------------------------------------------------------------------------
-// Kernel 3: decision-tree split scan (DecisionTree).
+// Kernel 2: decision-tree split scan (DecisionTree).
 // ---------------------------------------------------------------------------
 
 /// left_sq = sum_c left_counts[c]^2 and right_sq = sum_c
@@ -179,7 +163,7 @@ void GatherValsTargets(const double* col, const double* y,
                        double* ys);
 
 // ---------------------------------------------------------------------------
-// Kernel 4: squared Euclidean distance (KNN, geo join).
+// Kernel 3: squared Euclidean distance (KNN, geo join).
 // ---------------------------------------------------------------------------
 
 /// sum_i (a[i] - b[i])^2 with a pinned lane-structured accumulation
@@ -200,7 +184,7 @@ void SquaredDistanceToMany(const double* query, const double* base,
                            size_t num_points, size_t dims, double* out);
 
 // ---------------------------------------------------------------------------
-// Kernel 5: columnar decode (ReadColumnarString).
+// Kernel 4: columnar decode (ReadColumnarString).
 // ---------------------------------------------------------------------------
 
 /// dst[i] = bit_cast<double>(little-endian u64 at src + 8*i).
@@ -208,10 +192,6 @@ void DecodeU64LeToDouble(const char* src, size_t n, double* dst);
 
 /// dst[i] = static_cast<int64_t>(little-endian u64 at src + 8*i).
 void DecodeU64LeToInt64(const char* src, size_t n, int64_t* dst);
-
-/// valid[i] = bit i of `bitmap` (LSB-first within each byte), expanded to
-/// the 0/1 byte-per-row Column validity layout.
-void ExpandValidityBitmap(const uint8_t* bitmap, size_t n, uint8_t* valid);
 
 }  // namespace arda::simd
 

@@ -1,13 +1,10 @@
 // Tests for the library additions beyond the paper's core: chi-squared
-// filter ranking, MinHash discovery signatures, and gradient-boosted
-// trees.
+// filter ranking and gradient-boosted trees.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "discovery/discovery.h"
-#include "discovery/minhash.h"
 #include "featsel/filter_rankers.h"
 #include "featsel/selector.h"
 #include "ml/gradient_boosting.h"
@@ -62,66 +59,6 @@ TEST(ChiSquaredTest, RegisteredAsSelector) {
       selector->Select(data, evaluator, &rng);
   EXPECT_FALSE(result.selected.empty());
   EXPECT_GT(result.score, 0.8);
-}
-
-// -------------------------------------------------------------- minhash --
-
-TEST(MinHashTest, IdenticalColumnsEstimateOne) {
-  df::Column a = df::Column::Int64("a", {1, 2, 3, 4, 5});
-  discovery::MinHashSignature sa(a), sb(a);
-  EXPECT_DOUBLE_EQ(sa.EstimateJaccard(sb), 1.0);
-}
-
-TEST(MinHashTest, DisjointColumnsEstimateNearZero) {
-  df::Column a = df::Column::Int64("a", {1, 2, 3, 4, 5});
-  df::Column b = df::Column::Int64("b", {100, 200, 300});
-  discovery::MinHashSignature sa(a, 128), sb(b, 128);
-  EXPECT_LT(sa.EstimateJaccard(sb), 0.1);
-}
-
-TEST(MinHashTest, EstimateTracksExactJaccard) {
-  // Two overlapping 200-value sets with Jaccard 1/3.
-  std::vector<int64_t> va, vb;
-  for (int64_t i = 0; i < 200; ++i) va.push_back(i);
-  for (int64_t i = 100; i < 300; ++i) vb.push_back(i);
-  df::Column a = df::Column::Int64("a", va);
-  df::Column b = df::Column::Int64("b", vb);
-  double exact = discovery::ExactJaccard(a, b);
-  EXPECT_NEAR(exact, 1.0 / 3.0, 1e-12);
-  discovery::MinHashSignature sa(a, 256), sb(b, 256);
-  EXPECT_NEAR(sa.EstimateJaccard(sb), exact, 0.12);
-}
-
-TEST(MinHashTest, EmptyColumnGivesZero) {
-  df::Column a = df::Column::Int64("a", {1, 2});
-  df::Column empty = df::Column::Empty("e", df::DataType::kInt64);
-  discovery::MinHashSignature sa(a), se(empty);
-  EXPECT_TRUE(se.empty());
-  EXPECT_DOUBLE_EQ(sa.EstimateJaccard(se), 0.0);
-  EXPECT_DOUBLE_EQ(discovery::ExactJaccard(a, empty), 0.0);
-}
-
-TEST(MinHashTest, DiscoveryWithMinHashFindsSameJoin) {
-  discovery::DataRepository repo;
-  df::DataFrame base;
-  std::vector<int64_t> ids;
-  for (int64_t i = 0; i < 100; ++i) ids.push_back(i);
-  ASSERT_TRUE(base.AddColumn(df::Column::Int64("id", ids)).ok());
-  ASSERT_TRUE(base.AddColumn(
-                      df::Column::Double("y", std::vector<double>(100, 1.0)))
-                  .ok());
-  ASSERT_TRUE(repo.Add("base", base).ok());
-  df::DataFrame foreign;
-  ASSERT_TRUE(foreign.AddColumn(df::Column::Int64("id", ids)).ok());
-  ASSERT_TRUE(repo.Add("lookup", std::move(foreign)).ok());
-
-  discovery::DiscoveryOptions options;
-  options.use_minhash = true;
-  std::vector<discovery::CandidateJoin> candidates =
-      discovery::DiscoverCandidates(repo, "base", "y", options);
-  ASSERT_EQ(candidates.size(), 1u);
-  EXPECT_EQ(candidates[0].foreign_table, "lookup");
-  EXPECT_GT(candidates[0].score, 0.9);  // identical sets
 }
 
 // ------------------------------------------------------------- boosting --

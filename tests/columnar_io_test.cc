@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -175,13 +176,25 @@ TEST(ColumnarIoTest, RejectsBadMagic) {
   EXPECT_NE(r.status().message().find("magic"), std::string::npos);
 }
 
+// Returns `bytes` with the little-endian u32 version field (offset 4)
+// set to `version`.
+std::string WithVersion(std::string bytes, uint32_t version) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[4 + i] = static_cast<char>((version >> (8 * i)) & 0xff);
+  }
+  return bytes;
+}
+
 TEST(ColumnarIoTest, RejectsVersionSkew) {
-  std::string bytes = WriteColumnarString(MakeTypedFrame());
-  bytes[4] = 99;  // little-endian version field starts at offset 4
-  Result<DataFrame> r = ReadColumnarString(bytes);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(r.status().message().find("version"), std::string::npos);
+  // Only version 3 is read: the retired versions 1 and 2 fail exactly
+  // like an unknown future version.
+  const std::string bytes = WriteColumnarString(MakeTypedFrame());
+  for (uint32_t version : {1u, 2u, 99u}) {
+    Result<DataFrame> r = ReadColumnarString(WithVersion(bytes, version));
+    ASSERT_FALSE(r.ok()) << "version " << version;
+    EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(r.status().message().find("version"), std::string::npos);
+  }
 }
 
 TEST(ColumnarIoTest, RejectsChecksumMismatch) {
@@ -215,7 +228,7 @@ TEST(ColumnarIoTest, MissingFileFails) {
   EXPECT_FALSE(ReadColumnar("/nonexistent/arda.ardac").ok());
 }
 
-// --- Version-2 meta block: source fingerprint + statistics catalog ---
+// --- Meta block: source fingerprint + statistics catalog ---
 
 TEST(ColumnarIoTest, MetaBlockRoundTrips) {
   DataFrame frame = MakeTypedFrame();
@@ -245,35 +258,6 @@ TEST(ColumnarIoTest, MetaBlockRoundTrips) {
     EXPECT_EQ(got.hll, expected.hll);
     EXPECT_EQ(got.minhash, expected.minhash);
   }
-}
-
-TEST(ColumnarIoTest, VersionOneBytesStillLoad) {
-  // Files written by the previous format version carry no meta block;
-  // they must still deserialize, reporting an unknown fingerprint and an
-  // empty stats catalog (recomputed on demand by the repository).
-  DataFrame frame = MakeTypedFrame();
-  std::string v1_bytes = WriteColumnarStringV1(frame);
-  ColumnarMeta meta;
-  meta.source_size = 99;  // must be reset by the reader
-  Result<DataFrame> back = ReadColumnarString(v1_bytes, &meta);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ExpectFramesIdentical(frame, *back);
-  EXPECT_EQ(meta.source_size, 0u);
-  EXPECT_EQ(meta.source_hash, 0u);
-  EXPECT_TRUE(meta.stats.Empty());
-}
-
-TEST(ColumnarIoTest, VersionTwoWithoutMetaBlockFailsCleanly) {
-  // A version-2 header whose payload ends after the columns (no ARDM
-  // block) is truncated — the reader must fail with a Status, not crash.
-  // (The payload checksum doesn't cover the header, so this exercises the
-  // meta-decode truncation path directly.)
-  std::string bytes = WriteColumnarStringV1(MakeTypedFrame());
-  bytes[4] = 2;  // little-endian version field starts at offset 4
-  Result<DataFrame> r = ReadColumnarString(bytes);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status().message().find("meta"), std::string::npos);
 }
 
 TEST(ColumnarIoTest, EveryTruncationOfStatsFileFailsCleanly) {
@@ -375,38 +359,58 @@ TEST(RepositoryCacheTest, StaleCacheIsRefreshedFromCsv) {
 TEST(RepositoryCacheTest, CorruptCacheFallsBackToCsv) {
   TempTree tree("arda_repo_corrupt");
   WriteFile(tree.data_dir / "t.csv", "a,b\n7,x\n");
+  const fs::path cache = tree.cache_dir / "t.ardac";
   discovery::DataRepository first;
   ASSERT_TRUE(first
                   .LoadDirectory(tree.data_dir.string(),
                                  tree.cache_dir.string(), {}, nullptr)
                   .ok());
-  // Corrupt the cache (payload bit flip -> checksum mismatch); writing it
-  // also keeps its mtime >= the CSV's, so it would be used if valid.
-  WriteFile(tree.cache_dir / "t.ardac", "ARDCgarbage-not-a-valid-file");
-
-  metrics::GlobalRegistry().ResetForTest();
-  discovery::DataRepository second;
-  discovery::LoadStats stats;
-  ASSERT_TRUE(second
-                  .LoadDirectory(tree.data_dir.string(),
-                                 tree.cache_dir.string(), {}, &stats)
-                  .ok());
-  EXPECT_EQ(stats.tables_loaded, 1u);
-  EXPECT_EQ(stats.cache_hits, 0u);
-  ASSERT_EQ(stats.fallbacks.size(), 1u);
-  EXPECT_EQ(stats.fallbacks[0].table, "t");
-  // The fallback increments the skips.ingest counter exactly once (the
-  // report/counter lockstep the fault matrix asserts).
-  EXPECT_EQ(metrics::GlobalRegistry().Snapshot().CounterValue(
-                "skips.ingest"),
-            1u);
-  // The table itself is fine — re-parsed from the CSV...
-  EXPECT_EQ(second.GetOrDie("t").col("a").Int64At(0), 7);
-  // ...and the bad cache entry has been rewritten with a valid one.
-  EXPECT_EQ(stats.cache_writes, 1u);
-  Result<DataFrame> repaired =
-      ReadColumnar((tree.cache_dir / "t.ardac").string());
-  EXPECT_TRUE(repaired.ok());
+  std::string valid_bytes;
+  {
+    std::ifstream in(cache, std::ios::binary);
+    valid_bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // Garbage, and a cache whose fingerprint matches but whose version
+  // field is the retired version 2: both must take the same path.
+  // Writing either keeps the cache's mtime >= the CSV's, so it would be
+  // used if it were readable.
+  for (const std::string& bad :
+       {std::string("ARDCgarbage-not-a-valid-file"),
+        WithVersion(valid_bytes, 2)}) {
+    WriteFile(cache, bad);
+    metrics::GlobalRegistry().ResetForTest();
+    discovery::DataRepository second;
+    discovery::LoadStats stats;
+    ASSERT_TRUE(second
+                    .LoadDirectory(tree.data_dir.string(),
+                                   tree.cache_dir.string(), {}, &stats)
+                    .ok());
+    EXPECT_EQ(stats.tables_loaded, 1u);
+    EXPECT_EQ(stats.cache_hits, 0u);
+    ASSERT_EQ(stats.fallbacks.size(), 1u);
+    EXPECT_EQ(stats.fallbacks[0].table, "t");
+    // The fallback increments the skips.ingest counter exactly once (the
+    // report/counter lockstep the fault matrix asserts).
+    EXPECT_EQ(metrics::GlobalRegistry().Snapshot().CounterValue(
+                  "skips.ingest"),
+              1u);
+    // The table itself is fine — re-parsed from the CSV...
+    EXPECT_EQ(second.GetOrDie("t").col("a").Int64At(0), 7);
+    // ...and the bad cache entry has been rewritten as a valid v3 file...
+    EXPECT_EQ(stats.cache_writes, 1u);
+    Result<DataFrame> repaired = ReadColumnar(cache.string());
+    EXPECT_TRUE(repaired.ok());
+    // ...that the next load serves as a plain cache hit.
+    discovery::DataRepository third;
+    discovery::LoadStats stats3;
+    ASSERT_TRUE(third
+                    .LoadDirectory(tree.data_dir.string(),
+                                   tree.cache_dir.string(), {}, &stats3)
+                    .ok());
+    EXPECT_EQ(stats3.cache_hits, 1u);
+    EXPECT_TRUE(stats3.fallbacks.empty());
+    EXPECT_EQ(stats3.cache_writes, 0u);
+  }
 }
 
 TEST(RepositoryCacheTest, BadCsvIsRecordedAndSkipped) {
@@ -474,24 +478,19 @@ TEST(RepositoryCacheTest, RewriteAtSameMtimeIsDetectedByFingerprint) {
   EXPECT_EQ(second.GetOrDie("t").col("a").Int64At(0), 2);
 }
 
-TEST(RepositoryCacheTest, V1CacheWithEqualMtimeIsStale) {
-  // Regression test for the equal-mtime staleness bug on fingerprint-less
-  // version-1 cache files: a CSV rewritten within the filesystem's
-  // timestamp granularity leaves the cache and the CSV with the SAME
-  // mtime, and the old `cache_time >= csv_time` freshness check kept
-  // serving the stale cache (a long-lived service ingesting rapid
-  // updates hits this constantly). Equal timestamps must count as stale.
-  TempTree tree("arda_repo_v1_equal_mtime");
-  // A v1 cache entry (no meta block, no fingerprint) holding old data.
+TEST(RepositoryCacheTest, CacheWithoutFingerprintIsStaleEvenWhenNewer) {
+  // Freshness is decided by the source fingerprint alone. A cache entry
+  // written without one (null meta) is stale even when its mtime is
+  // strictly newer than the CSV's — the case an mtime check would serve.
+  TempTree tree("arda_repo_no_fingerprint");
   Result<DataFrame> stale = ReadCsvString("a\n1\n");
   ASSERT_TRUE(stale.ok());
   fs::create_directories(tree.cache_dir);
-  WriteFile(tree.cache_dir / "t.ardac", WriteColumnarStringV1(*stale));
-  // The CSV now holds new data, with its mtime pinned EQUAL to the
-  // cache's — the rewritten-within-granularity case.
   WriteFile(tree.data_dir / "t.csv", "a\n42\n");
-  fs::last_write_time(tree.data_dir / "t.csv",
-                      fs::last_write_time(tree.cache_dir / "t.ardac"));
+  WriteFile(tree.cache_dir / "t.ardac", WriteColumnarString(*stale));
+  fs::last_write_time(tree.cache_dir / "t.ardac",
+                      fs::last_write_time(tree.data_dir / "t.csv") +
+                          std::chrono::seconds(5));
 
   discovery::DataRepository repo;
   discovery::LoadStats stats;
@@ -499,18 +498,10 @@ TEST(RepositoryCacheTest, V1CacheWithEqualMtimeIsStale) {
                                  tree.cache_dir.string(), {}, &stats)
                   .ok());
   EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_TRUE(stats.fallbacks.empty());
   EXPECT_EQ(stats.cache_writes, 1u);
   EXPECT_EQ(repo.GetOrDie("t").col("a").Int64At(0), 42);
-  // ...while a cache strictly newer than the CSV is still a v1 hit.
-  fs::last_write_time(tree.cache_dir / "t.ardac",
-                      fs::last_write_time(tree.data_dir / "t.csv") +
-                          std::chrono::seconds(5));
-  // Rewrite the cache as v1 again (LoadDirectory repaired it to v2).
-  WriteFile(tree.cache_dir / "t.ardac",
-            WriteColumnarStringV1(repo.GetOrDie("t")));
-  fs::last_write_time(tree.cache_dir / "t.ardac",
-                      fs::last_write_time(tree.data_dir / "t.csv") +
-                          std::chrono::seconds(5));
+  // The rewritten entry carries the fingerprint and is served next time.
   discovery::DataRepository second;
   discovery::LoadStats stats2;
   ASSERT_TRUE(second

@@ -6,7 +6,6 @@
 #include "data/generators.h"
 #include "dataframe/column_stats.h"
 #include "discovery/discovery.h"
-#include "discovery/minhash.h"
 #include "discovery/repository.h"
 #include "discovery/tuple_ratio.h"
 
@@ -315,24 +314,6 @@ TEST(ColumnStatsTest, ContainmentEstimateForSubsetColumns) {
   EXPECT_LT(df::EstimateContainment(small_stats, other_stats), 0.2);
 }
 
-TEST(MinHashTest, ContainmentNotJaccardForSubsetKeys) {
-  // Regression for the scoring-semantics bug: a base key column fully
-  // contained in a much larger foreign domain used to be scored by raw
-  // Jaccard similarity (≈ |A|/|B|, tiny), silently discarding perfect
-  // join keys against rich dimension tables.
-  std::vector<int64_t> small, big;
-  for (int64_t i = 0; i < 40; ++i) small.push_back(i);
-  for (int64_t i = 0; i < 800; ++i) big.push_back(i);
-  df::Column base = df::Column::Int64("k", small);
-  df::Column foreign = df::Column::Int64("k", big);
-  MinHashSignature base_sig(base, 256);
-  MinHashSignature foreign_sig(foreign, 256);
-  EXPECT_LT(base_sig.EstimateJaccard(foreign_sig), 0.15);
-  EXPECT_GT(base_sig.EstimateContainment(foreign_sig), 0.8);
-  EXPECT_NEAR(base_sig.EstimateCardinality(), 40.0, 12.0);
-  EXPECT_NEAR(foreign_sig.EstimateCardinality(), 800.0, 240.0);
-}
-
 TEST(DiscoverCandidatesTest, SubsetKeyFoundByEveryScoringMode) {
   // End-to-end form of the containment-semantics fix: the base keys are a
   // strict subset of a large foreign key domain, so every scoring mode
@@ -353,20 +334,16 @@ TEST(DiscoverCandidatesTest, SubsetKeyFoundByEveryScoringMode) {
   ASSERT_TRUE(repo.Add("dim", std::move(dim)).ok());
 
   // Exact containment is 1.0; the catalog's HLL inclusion-exclusion
-  // estimate stays within a few percent; the pure MinHash signature route
-  // is the noisiest (Jaccard relative error grows as resemblance shrinks)
-  // but must still clear the bar by a wide margin — raw Jaccard here
-  // would be 30/900 ≈ 0.03.
+  // estimate stays within a few percent — raw Jaccard here would be
+  // 30/900 ≈ 0.03.
   struct ModeBar {
     DiscoveryScoring scoring;
     double min_score;
   };
   for (ModeBar mode : {ModeBar{DiscoveryScoring::kExact, 0.99},
-                       ModeBar{DiscoveryScoring::kMinHash, 0.5},
                        ModeBar{DiscoveryScoring::kCatalog, 0.9}}) {
     DiscoveryOptions options;
     options.scoring = mode.scoring;
-    options.minhash_hashes = 256;
     std::vector<CandidateJoin> candidates =
         DiscoverCandidates(repo, "base", "y", options);
     ASSERT_EQ(candidates.size(), 1u)
@@ -384,8 +361,7 @@ TEST(DiscoverCandidatesTest, EmptyForeignTableYieldsNoCandidate) {
   ASSERT_TRUE(empty.AddColumn(df::Column::Int64("id", {})).ok());
   ASSERT_TRUE(repo.Add("empty", std::move(empty)).ok());
   for (DiscoveryScoring scoring :
-       {DiscoveryScoring::kExact, DiscoveryScoring::kMinHash,
-        DiscoveryScoring::kCatalog}) {
+       {DiscoveryScoring::kExact, DiscoveryScoring::kCatalog}) {
     DiscoveryOptions options;
     options.scoring = scoring;
     EXPECT_TRUE(DiscoverCandidates(repo, "base", "y", options).empty())
@@ -402,8 +378,7 @@ TEST(DiscoverCandidatesTest, AllNullKeyColumnYieldsNoCandidate) {
   ASSERT_TRUE(nulls.AddColumn(std::move(id)).ok());
   ASSERT_TRUE(repo.Add("nulls", std::move(nulls)).ok());
   for (DiscoveryScoring scoring :
-       {DiscoveryScoring::kExact, DiscoveryScoring::kMinHash,
-        DiscoveryScoring::kCatalog}) {
+       {DiscoveryScoring::kExact, DiscoveryScoring::kCatalog}) {
     DiscoveryOptions options;
     options.scoring = scoring;
     EXPECT_TRUE(DiscoverCandidates(repo, "base", "y", options).empty())

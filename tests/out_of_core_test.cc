@@ -1,8 +1,8 @@
 // Out-of-core repository coverage: the mmap-backed `.ardac` v3 reader
 // (dataframe/mapped_columnar.h), the borrowed-column lifetime contract,
-// the stat-based file sizing, the legacy v2 writer's truncation sweep,
-// the repository's map_cache mode, and the radix-partitioned join /
-// group-by kernels' bit-identity at every partition count.
+// the stat-based file sizing, the repository's map_cache mode, and the
+// radix-partitioned join / group-by kernels' bit-identity at every
+// partition count.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "dataframe/partition.h"
 #include "discovery/repository.h"
 #include "join/join_executor.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -59,6 +61,15 @@ void WriteFileBytes(const fs::path& path, const std::string& text) {
   ASSERT_TRUE(out.good());
 }
 
+// Returns `bytes` with the little-endian u32 version field (offset 4)
+// set to `version`.
+std::string WithVersion(std::string bytes, uint32_t version) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[4 + i] = static_cast<char>((version >> (8 * i)) & 0xff);
+  }
+  return bytes;
+}
+
 void ExpectFramesIdentical(const DataFrame& a, const DataFrame& b) {
   // CSV serialization covers names, order, null masks and the repo's
   // deterministic numeric rendering in one comparison.
@@ -79,11 +90,8 @@ TEST(MappedColumnarTest, MappedReadMatchesEagerRead) {
   ColumnarMeta eager_meta, mapped_meta;
   Result<DataFrame> eager = ReadColumnar(path, &eager_meta);
   ASSERT_TRUE(eager.ok()) << eager.status().ToString();
-  bool unsupported_version = true;
-  Result<DataFrame> mapped = MapColumnar(path, &mapped_meta,
-                                         &unsupported_version);
+  Result<DataFrame> mapped = MapColumnar(path, &mapped_meta);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_FALSE(unsupported_version);
   ExpectFramesIdentical(frame, *eager);
   ExpectFramesIdentical(frame, *mapped);
   EXPECT_EQ(mapped_meta.source_size, 77u);
@@ -118,24 +126,6 @@ TEST(MappedColumnarTest, MappedReadMatchesEagerOnLargeMixedTable) {
   std::remove(path.c_str());
 }
 
-TEST(MappedColumnarTest, LegacyVersionsReportUnsupportedVersion) {
-  DataFrame frame = MakeTypedFrame();
-  const std::string path = testing::TempDir() + "/arda_map_legacy.ardac";
-  for (const std::string& bytes :
-       {WriteColumnarStringV1(frame), WriteColumnarStringV2(frame)}) {
-    WriteFileBytes(path, bytes);
-    bool unsupported_version = false;
-    Result<DataFrame> mapped = MapColumnar(path, nullptr,
-                                           &unsupported_version);
-    EXPECT_FALSE(mapped.ok());
-    EXPECT_TRUE(unsupported_version);
-    // The eager path still loads the same file, so the repository can
-    // silently fall through for pre-v3 caches.
-    EXPECT_TRUE(ReadColumnar(path).ok());
-  }
-  std::remove(path.c_str());
-}
-
 TEST(MappedColumnarTest, EveryTruncationFailsWithStatusNotSigbus) {
   // The v3 safety contract: every extent is validated against the real
   // file size before the first payload access, so a truncated file of
@@ -149,11 +139,7 @@ TEST(MappedColumnarTest, EveryTruncationFailsWithStatusNotSigbus) {
   const std::string path = testing::TempDir() + "/arda_map_trunc.ardac";
   for (size_t len = 0; len < bytes.size(); ++len) {
     WriteFileBytes(path, bytes.substr(0, len));
-    bool unsupported_version = false;
-    Result<DataFrame> mapped = MapColumnar(path, nullptr,
-                                           &unsupported_version);
-    EXPECT_FALSE(mapped.ok()) << "prefix length " << len;
-    EXPECT_FALSE(unsupported_version) << "prefix length " << len;
+    EXPECT_FALSE(MapColumnar(path).ok()) << "prefix length " << len;
   }
   std::remove(path.c_str());
 }
@@ -168,6 +154,18 @@ TEST(MappedColumnarTest, RejectsCorruptIndex) {
   ASSERT_FALSE(mapped.ok());
   EXPECT_EQ(mapped.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(mapped.status().message().find("checksum"), std::string::npos);
+  // Version skew, including the retired versions 1 and 2, fails the
+  // mapped and the eager reader alike.
+  for (uint32_t version : {1u, 2u, 99u}) {
+    WriteFileBytes(path, WithVersion(WriteColumnarString(frame), version));
+    const Result<DataFrame> mapped_skew = MapColumnar(path);
+    const Result<DataFrame> eager_skew = ReadColumnar(path);
+    for (const Result<DataFrame>* r : {&mapped_skew, &eager_skew}) {
+      ASSERT_FALSE(r->ok()) << "version " << version;
+      EXPECT_EQ(r->status().code(), StatusCode::kFailedPrecondition);
+      EXPECT_NE(r->status().message().find("version"), std::string::npos);
+    }
+  }
   std::remove(path.c_str());
 }
 
@@ -259,27 +257,6 @@ TEST(FileSizeBytesTest, SizesPastTwoGiBAreNotTruncated) {
   std::remove(path.c_str());
 }
 
-// --- legacy v2 writer: the sliced-at-every-length contract ---
-
-TEST(ColumnarV2Test, RoundTripsAndEveryTruncationFailsCleanly) {
-  DataFrame frame = MakeTypedFrame();
-  ColumnarMeta meta;
-  meta.source_size = 42;
-  meta.source_hash = 43;
-  meta.stats = ComputeTableStats(frame);
-  const std::string bytes = WriteColumnarStringV2(frame, &meta);
-
-  ColumnarMeta back_meta;
-  Result<DataFrame> back = ReadColumnarString(bytes, &back_meta);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ExpectFramesIdentical(frame, *back);
-  EXPECT_EQ(back_meta.source_size, 42u);
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    Result<DataFrame> r = ReadColumnarString(bytes.substr(0, len));
-    EXPECT_FALSE(r.ok()) << "prefix length " << len;
-  }
-}
-
 // --- DataRepository map_cache mode ---
 
 struct TempTree {
@@ -333,61 +310,54 @@ TEST(RepositoryMapCacheTest, MappedLoadServesIdenticalTables) {
 TEST(RepositoryMapCacheTest, CorruptCacheDegradesToCsv) {
   TempTree tree("arda_oocore_corrupt");
   WriteFileBytes(tree.data_dir / "t.csv", "a\n1\n2\n");
+  const fs::path cache = tree.cache_dir / "t.ardac";
   discovery::DataRepository warm;
   ASSERT_TRUE(warm
                   .LoadDirectory(tree.data_dir.string(),
                                  tree.cache_dir.string(), {}, nullptr)
                   .ok());
-  // Corrupt the cache in place (same size, bad bytes).
+  std::string valid_bytes;
   {
-    std::fstream f(tree.cache_dir / "t.ardac",
-                   std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(52);
-    f.put('\xff');
+    std::ifstream in(cache, std::ios::binary);
+    valid_bytes.assign(std::istreambuf_iterator<char>(in), {});
   }
-  discovery::DataRepository repo;
+  // An in-place corruption (same size, bad index byte), and a cache
+  // whose fingerprint matches but whose version field is the retired
+  // version 1: neither is mmap-able, and both take the same path.
+  std::string corrupt = valid_bytes;
+  corrupt[52] = '\xff';
   discovery::LoadOptions options;
   options.map_cache = true;
-  discovery::LoadStats stats;
-  ASSERT_TRUE(repo
-                  .LoadDirectory(tree.data_dir.string(),
-                                 tree.cache_dir.string(), options, &stats)
-                  .ok());
-  EXPECT_TRUE(repo.Has("t"));
-  EXPECT_EQ(stats.cache_hits, 0u);
-  ASSERT_EQ(stats.fallbacks.size(), 1u);
-  EXPECT_EQ(repo.GetOrDie("t").col("a").Int64At(1), 2);
-}
-
-TEST(RepositoryMapCacheTest, V2CacheServedEagerlyWithoutFallback) {
-  // Pre-v3 caches predate the column index: map_cache mode serves them
-  // through the eager reader with NO fallback recorded (they are not
-  // corrupt, just not mmap-able), and migrates them to v3 only when the
-  // CSV changes.
-  TempTree tree("arda_oocore_v2");
-  const std::string csv = "a,b\n1,x\n2,y\n";
-  WriteFileBytes(tree.data_dir / "t.csv", csv);
-  Result<DataFrame> parsed = ReadCsvString(csv);
-  ASSERT_TRUE(parsed.ok());
-  ColumnarMeta meta;
-  meta.source_size = csv.size();
-  meta.source_hash = StatsFnv1a64(csv);
-  meta.stats = ComputeTableStats(*parsed);
-  fs::create_directories(tree.cache_dir);
-  WriteFileBytes(tree.cache_dir / "t.ardac",
-                 WriteColumnarStringV2(*parsed, &meta));
-
-  discovery::DataRepository repo;
-  discovery::LoadOptions options;
-  options.map_cache = true;
-  discovery::LoadStats stats;
-  ASSERT_TRUE(repo
-                  .LoadDirectory(tree.data_dir.string(),
-                                 tree.cache_dir.string(), options, &stats)
-                  .ok());
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_TRUE(stats.fallbacks.empty());
-  ExpectFramesIdentical(*parsed, repo.GetOrDie("t"));
+  for (const std::string& bad : {corrupt, WithVersion(valid_bytes, 1)}) {
+    WriteFileBytes(cache, bad);
+    metrics::GlobalRegistry().ResetForTest();
+    discovery::DataRepository repo;
+    discovery::LoadStats stats;
+    ASSERT_TRUE(repo
+                    .LoadDirectory(tree.data_dir.string(),
+                                   tree.cache_dir.string(), options, &stats)
+                    .ok());
+    EXPECT_TRUE(repo.Has("t"));
+    EXPECT_EQ(stats.cache_hits, 0u);
+    ASSERT_EQ(stats.fallbacks.size(), 1u);
+    EXPECT_EQ(metrics::GlobalRegistry().Snapshot().CounterValue(
+                  "skips.ingest"),
+              1u);
+    EXPECT_EQ(repo.GetOrDie("t").col("a").Int64At(1), 2);
+    // The cache was rewritten at v3, and the next mapped load is made
+    // only of cache hits.
+    EXPECT_EQ(stats.cache_writes, 1u);
+    EXPECT_TRUE(MapColumnar(cache.string()).ok());
+    discovery::DataRepository again;
+    discovery::LoadStats stats2;
+    ASSERT_TRUE(again
+                    .LoadDirectory(tree.data_dir.string(),
+                                   tree.cache_dir.string(), options, &stats2)
+                    .ok());
+    EXPECT_EQ(stats2.cache_hits, 1u);
+    EXPECT_TRUE(stats2.fallbacks.empty());
+    EXPECT_EQ(stats2.cache_writes, 0u);
+  }
 }
 
 // --- radix partitioning primitives ---

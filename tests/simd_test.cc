@@ -27,7 +27,7 @@ uint64_t NextRand(uint64_t* state) {
 }
 
 // The size sweep used by every kernel test: zero, sub-vector-width
-// tails (AVX2 widths are 4 for 64-bit lanes and 32 for validity bytes),
+// tails (the AVX2 width is 4 for 64-bit lanes),
 // exact multiples, and off-by-one straddles.
 const size_t kSizes[] = {0,  1,  2,  3,  4,  5,  7,  8,  31, 32,
                          33, 63, 64, 65, 100, 255, 256, 1000};
@@ -309,52 +309,6 @@ TEST(SimdKernelsTest, GroupLookupMatchesScalar) {
   }
 }
 
-TEST(SimdKernelsTest, CountAndScatterByGroupMatchScalar) {
-  const size_t num_groups = 10;
-  for (size_t n : kSizes) {
-    uint64_t state = 0x7777 + n;
-    std::vector<uint64_t> gids(n);
-    std::vector<uint8_t> valid(n);
-    std::vector<double> values(n);
-    for (size_t r = 0; r < n; ++r) {
-      gids[r] = NextRand(&state) % num_groups;
-      valid[r] = NextRand(&state) % 3 != 0 ? 1 : 0;
-      values[r] = static_cast<double>(static_cast<int64_t>(
-                      NextRand(&state) % 2000) - 1000) / 8.0;
-    }
-    for (const uint8_t* validity :
-         {static_cast<const uint8_t*>(valid.data()),
-          static_cast<const uint8_t*>(nullptr)}) {
-      std::vector<size_t> ref_counts;
-      std::vector<double> ref_out;
-      std::vector<size_t> ref_cursor;
-      ForEachLevel([&](SimdLevel level) {
-        std::vector<size_t> counts(num_groups, 0);
-        CountPerGroup(gids.data(), validity, n, counts.data());
-        // CSR layout from the counts, then scatter.
-        std::vector<size_t> cursor(num_groups, 0);
-        size_t total = 0;
-        for (size_t g = 0; g < num_groups; ++g) {
-          cursor[g] = total;
-          total += counts[g];
-        }
-        std::vector<double> out(total, -1.0);
-        ScatterByGroup(values.data(), validity, gids.data(), n,
-                       cursor.data(), out.data());
-        if (level == SimdLevel::kScalar) {
-          ref_counts = counts;
-          ref_out = out;
-          ref_cursor = cursor;
-        } else {
-          EXPECT_EQ(counts, ref_counts) << "n=" << n;
-          EXPECT_EQ(cursor, ref_cursor) << "n=" << n;
-          EXPECT_EQ(out, ref_out) << "n=" << n;
-        }
-      });
-    }
-  }
-}
-
 TEST(SimdKernelsTest, ClassSquaresMatchesScalarOnCounts) {
   for (size_t num_classes : kSizes) {
     uint64_t state = 0x3333 + num_classes;
@@ -527,29 +481,6 @@ TEST(SimdKernelsTest, DecodeU64LeMatchesScalar) {
                     0)
               << "n=" << n;
         }
-      }
-    });
-  }
-}
-
-TEST(SimdKernelsTest, ExpandValidityBitmapMatchesScalar) {
-  for (size_t n : kSizes) {
-    uint64_t state = 0x1111 + n;
-    std::vector<uint8_t> bitmap((n + 7) / 8);
-    for (uint8_t& b : bitmap) b = static_cast<uint8_t>(NextRand(&state));
-    std::vector<uint8_t> reference;
-    ForEachLevel([&](SimdLevel level) {
-      std::vector<uint8_t> valid(n, 9);
-      ExpandValidityBitmap(bitmap.data(), n, valid.data());
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_LE(valid[i], 1) << "n=" << n << " i=" << i;
-        ASSERT_EQ(valid[i], (bitmap[i / 8] >> (i % 8)) & 1)
-            << "n=" << n << " i=" << i;
-      }
-      if (level == SimdLevel::kScalar) {
-        reference = valid;
-      } else {
-        EXPECT_EQ(valid, reference) << "n=" << n;
       }
     });
   }
