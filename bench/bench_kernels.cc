@@ -643,14 +643,14 @@ double PeakRssGauge() {
 //
 // Builds an `.ardac` v3 pool roughly 10x a process memory budget (40
 // tables, 1 int64 key + 20 double columns each), opens every table with
-// MapColumnar, and runs the budget-partitioned group-by over ~10% of the
-// pool's columns (the key plus one value column per table). Because
-// mapped columns fault in lazily, peak RSS should grow by about the
-// touched 2-of-21 column slice (~0.95x budget) plus transient partition
-// frames; the scenario asserts the growth stays under 1.5x the budget,
-// read from the same VmHWM gauge the CLI stage summary prints. An eager
-// loader would grow by the full pool (10x) and fail loudly. Exit 1 on a
-// violation; numbers land in BENCH_PR10.json via --json.
+// MapColumnar, and runs the single-pass group-by over ~10% of the pool's
+// columns (the key plus one value column per table). Because mapped
+// columns fault in lazily, peak RSS should grow by about the touched
+// 2-of-21 column slice (~0.95x budget) plus one table's transient
+// group-by frames; the scenario asserts the growth stays under 1.5x the
+// budget, read from the same VmHWM gauge the CLI stage summary prints. An
+// eager loader would grow by the full pool (10x) and fail loudly. Exit 1
+// on a violation; numbers land in BENCH_PR10.json via --json.
 int RunOutOfCore(uint64_t budget_bytes, bool json) {
   namespace fs = std::filesystem;
   constexpr size_t kTables = 40;
@@ -707,13 +707,6 @@ int RunOutOfCore(uint64_t budget_bytes, bool json) {
   open_seconds = NowSeconds() - open_seconds;
   const double after_open = PeakRssGauge();
 
-  df::AggregateOptions agg;
-  // Each scan's working set is a 2-column borrowed slice, far below the
-  // process budget; hand the kernel a small fraction of it so the radix
-  // partitioning genuinely engages (fan-out >= 2) instead of resolving
-  // to one partition.
-  agg.memory_budget_bytes =
-      std::max<uint64_t>(1, budget_bytes / 128);
   double scan_seconds = NowSeconds();
   uint64_t checksum = 0;
   size_t groups = 0;
@@ -721,7 +714,7 @@ int RunOutOfCore(uint64_t budget_bytes, bool json) {
     df::DataFrame narrow;
     ARDA_CHECK(narrow.AddColumn(pool[t].col(0)).ok());
     ARDA_CHECK(narrow.AddColumn(pool[t].col(1 + t % kValueCols)).ok());
-    auto grouped = df::GroupByAggregate(narrow, {"key"}, agg);
+    auto grouped = df::GroupByAggregate(narrow, {"key"});
     ARDA_CHECK(grouped.ok());
     groups += grouped.value().NumRows();
     checksum ^= HashFrame(grouped.value()) * (t + 1);
@@ -747,7 +740,7 @@ int RunOutOfCore(uint64_t budget_bytes, bool json) {
     std::printf("  \"tables\": %zu,\n", kTables);
     std::printf("  \"rows_per_table\": %zu,\n", rows);
     std::printf("  \"map_open_seconds\": %.6f,\n", open_seconds);
-    std::printf("  \"partitioned_scan_seconds\": %.6f,\n", scan_seconds);
+    std::printf("  \"scan_seconds\": %.6f,\n", scan_seconds);
     std::printf("  \"groups\": %zu,\n", groups);
     std::printf("  \"checksum\": %llu,\n",
                 static_cast<unsigned long long>(checksum));
@@ -828,7 +821,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--smoke") smoke = true;
     // Runs the out-of-core bound scenario (mmap'd 10x-budget pool,
-    // partitioned group-by, peak-RSS ceiling) instead of the kernel
+    // single-pass group-by, peak-RSS ceiling) instead of the kernel
     // sweep. --oocore-budget=SIZE (k/m/g suffixes) overrides the 8 MiB
     // default process budget.
     if (std::string(argv[i]) == "--oocore") oocore = true;
@@ -844,7 +837,7 @@ int main(int argc, char** argv) {
     // overhead (tools/run_bench.sh --trace-overhead diffs on vs. off) and
     // doubles as a determinism check since checksums must not move.
     if (std::string(argv[i]) == "--trace") tracing = true;
-    // Fails (exit 1) unless >=3 of the 5 scalar-vs-SIMD pairs reach 2x;
+    // Fails (exit 1) unless >=3 of the 4 scalar-vs-SIMD pairs reach 2x;
     // no-op on machines without AVX2 (there is nothing to compare).
     if (std::string(argv[i]) == "--assert-simd-floor") {
       assert_simd_floor = true;

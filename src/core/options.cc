@@ -33,7 +33,6 @@ Result<ArdaConfig> MakeArdaConfig(const RunOptions& options) {
   config.seed = options.seed;
   config.num_threads = options.num_threads;
   config.selector = options.selector;
-  config.join.memory_budget_bytes = options.memory_budget_bytes;
   if (options.plan == "budget") {
     config.plan = JoinPlanKind::kBudget;
   } else if (options.plan == "table") {

@@ -29,11 +29,6 @@ struct RunOptions {
   /// Threads for the parallel pipeline regions (0 = hardware
   /// concurrency). Never affects results.
   size_t num_threads = 0;
-  /// Soft per-kernel working-set budget in bytes for the join/group-by
-  /// radix-partitioned out-of-core paths (0 = unbounded, single-pass
-  /// kernels). Like num_threads, never affects results — partitioned
-  /// output is bit-identical to the single pass.
-  uint64_t memory_budget_bytes = 0;
 };
 
 /// Translates options into an ARDA configuration. InvalidArgument on any

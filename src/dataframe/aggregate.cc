@@ -1,13 +1,10 @@
 #include "dataframe/aggregate.h"
 
 #include <algorithm>
-#include <array>
 #include <utility>
 
 #include "dataframe/key_encoder.h"
-#include "dataframe/partition.h"
 #include "util/fault.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace arda::df {
@@ -189,95 +186,6 @@ Status ResolveKeys(const DataFrame& frame,
   return Status::Ok();
 }
 
-// Out-of-core group-by: split rows into `num_partitions` buckets by key
-// hash, aggregate each bucket independently (one ThreadPool task per
-// bucket — each builds its own KeyEncoder over just its rows, so the
-// working set is one partition, not the frame), then merge the
-// per-partition outputs back into global first-occurrence order.
-//
-// Bit-identical to the single pass at any partition count: equal keys
-// never span partitions, so each global group lives wholly inside one
-// partition with its rows in original relative order (partitions keep
-// ascending row order); sorting groups by their *global* first-occurrence
-// row therefore reproduces both the single-pass group order and each
-// group's exact aggregate inputs.
-Result<DataFrame> GroupByAggregatePartitioned(
-    const DataFrame& frame, const std::vector<size_t>& key_idx,
-    size_t num_partitions, const AggregateOptions& options) {
-  trace::StageScope scope("preaggregate_partition");
-  ARDA_FAULT_POINT(fault::kPartitionSpill);
-  std::vector<PartitionKeySpec> specs;
-  specs.reserve(key_idx.size());
-  for (size_t ki : key_idx) {
-    PartitionKeySpec spec;
-    spec.col = ki;
-    // Group-by never buckets; a single frame means build == probe type,
-    // so the native-int64 decision below matches KeyEncoder's dict mode.
-    spec.native = frame.col(ki).type() == DataType::kInt64;
-    specs.push_back(spec);
-  }
-  std::vector<std::vector<size_t>> parts =
-      PartitionRowsByKey(frame, specs, num_partitions);
-
-  struct PartOut {
-    Status status;
-    DataFrame frame;
-    // Global row index of each group's first occurrence, in local group
-    // order — the merge key.
-    std::vector<size_t> global_first;
-  };
-  std::vector<PartOut> outs(num_partitions);
-  // Empty partitions run too: their 0-row aggregate carries the output
-  // schema the merge below clones.
-  ParallelFor(num_partitions, 0, [&](size_t p) {
-    DataFrame sub = frame.Take(parts[p]);
-    KeyEncoder encoder(sub, key_idx);
-    Result<DataFrame> result =
-        GroupByAggregateImpl(sub, key_idx, encoder, options);
-    if (!result.ok()) {
-      outs[p].status = result.status();
-      return;
-    }
-    outs[p].frame = std::move(*result);
-    const std::vector<size_t>& first = encoder.group_first_row();
-    outs[p].global_first.reserve(first.size());
-    for (size_t local_row : first) {
-      outs[p].global_first.push_back(parts[p][local_row]);
-    }
-  });
-  for (const PartOut& part : outs) {
-    ARDA_RETURN_IF_ERROR(part.status);
-  }
-
-  // (global first row, partition, local group) sorted by first element;
-  // global first rows are distinct, so the order is total.
-  std::vector<std::array<size_t, 3>> order;
-  size_t total_groups = 0;
-  for (size_t p = 0; p < num_partitions; ++p) {
-    total_groups += outs[p].global_first.size();
-  }
-  order.reserve(total_groups);
-  for (size_t p = 0; p < num_partitions; ++p) {
-    for (size_t g = 0; g < outs[p].global_first.size(); ++g) {
-      order.push_back({outs[p].global_first[g], p, g});
-    }
-  }
-  std::sort(order.begin(), order.end());
-
-  DataFrame merged;
-  const DataFrame& schema_source = outs[0].frame;
-  for (size_t c = 0; c < schema_source.NumCols(); ++c) {
-    Column col = Column::Empty(schema_source.col(c).name(),
-                               schema_source.col(c).type());
-    col.Reserve(order.size());
-    for (const std::array<size_t, 3>& entry : order) {
-      col.AppendFrom(outs[entry[1]].frame.col(c), entry[2]);
-    }
-    ARDA_RETURN_IF_ERROR(merged.AddColumn(std::move(col)));
-  }
-  return merged;
-}
-
 }  // namespace
 
 Result<DataFrame> GroupByAggregate(const DataFrame& frame,
@@ -285,13 +193,6 @@ Result<DataFrame> GroupByAggregate(const DataFrame& frame,
                                    const AggregateOptions& options) {
   std::vector<size_t> key_idx;
   ARDA_RETURN_IF_ERROR(ResolveKeys(frame, keys, &key_idx));
-  const size_t num_partitions = ChoosePartitionCount(
-      options.partition_count, options.memory_budget_bytes,
-      EstimateFrameBytes(frame));
-  if (num_partitions > 1 && frame.NumRows() > 0) {
-    return GroupByAggregatePartitioned(frame, key_idx, num_partitions,
-                                       options);
-  }
   // Group rows via interned integer keys, groups numbered in
   // first-occurrence order (same ordering the string-keyed map produced).
   KeyEncoder encoder(frame, key_idx);

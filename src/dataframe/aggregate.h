@@ -23,16 +23,6 @@ struct AggregateOptions {
   CategoricalAgg categorical = CategoricalAgg::kMode;
   /// When true, adds an int64 "__group_count" column with group sizes.
   bool add_count = false;
-  /// Radix partitions for the out-of-core path: the frame is split by key
-  /// hash, each partition is aggregated as an independent ThreadPool task,
-  /// and the per-partition results are merged back into global
-  /// first-occurrence order — bit-identical to the single-pass kernel at
-  /// any count. 0 derives the count from `memory_budget_bytes`; a
-  /// resolved count of <= 1 runs the existing single pass.
-  size_t partition_count = 0;
-  /// Soft per-kernel working-set budget, consulted only when
-  /// `partition_count` == 0 (0 = unbounded, i.e. single pass).
-  uint64_t memory_budget_bytes = 0;
 };
 
 /// Groups `frame` by the given key columns and aggregates every other
@@ -49,8 +39,6 @@ Result<DataFrame> GroupByAggregate(const DataFrame& frame,
 /// As above, but reuses a KeyEncoder already built over `frame[keys]`
 /// (e.g. a join's duplicate-detection pass) instead of re-encoding the
 /// key columns. The encoder must have been built on this exact frame.
-/// Always single-pass: a whole-frame encoder is incompatible with
-/// per-partition encoding, so the partitioning options are ignored.
 Result<DataFrame> GroupByAggregate(const DataFrame& frame,
                                    const std::vector<std::string>& keys,
                                    const KeyEncoder& encoder,

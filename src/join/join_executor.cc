@@ -6,12 +6,9 @@
 #include <optional>
 
 #include "dataframe/key_encoder.h"
-#include "dataframe/partition.h"
 #include "join/resample.h"
 #include "util/fault.h"
 #include "util/metrics.h"
-#include "util/string_util.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace arda::join {
@@ -88,136 +85,6 @@ Match MatchSoft(const std::vector<std::pair<double, size_t>>& sorted,
     match.low = sorted[only].second;
   }
   return match;
-}
-
-// A frame holding just the key columns of `frame` at `col_idx` for the
-// rows in `rows`, renamed "k0".."kN-1" so repeated source columns (the
-// same foreign column used by two key pairs) cannot collide.
-df::DataFrame TakeKeyColumns(const df::DataFrame& frame,
-                             const std::vector<size_t>& col_idx,
-                             const std::vector<size_t>& rows) {
-  df::DataFrame out;
-  for (size_t k = 0; k < col_idx.size(); ++k) {
-    df::Column col = frame.col(col_idx[k]).Take(rows);
-    col.set_name(StrFormat("k%zu", k));
-    Status added = out.AddColumn(std::move(col));
-    ARDA_CHECK(added.ok());
-  }
-  return out;
-}
-
-// Out-of-core hash join on a pure hard key: both sides are
-// radix-partitioned by key hash (equal keys never span partitions —
-// partition.h), each partition is indexed and probed as an independent
-// ThreadPool task over key-only sub-frames, and matches land in disjoint
-// global slots. Bit-identical to the single-pass join at any partition
-// count: partitions keep ascending row order, so each key group's first
-// foreign row is the same row the whole-table index would have kept, and
-// the one-to-many pre-aggregation (itself partitioned) produces the same
-// frame the unpartitioned duplicate path does.
-//
-// `working` is the (possibly resampled) foreign table; replaced in place
-// when duplicate keys force pre-aggregation.
-Status PartitionedHardJoin(const df::DataFrame& base,
-                           df::DataFrame* working,
-                           const std::vector<std::string>& foreign_key_cols,
-                           const std::vector<std::string>& hard_foreign_cols,
-                           const std::vector<size_t>& hard_base_idx,
-                           const df::KeyEncoder::Options& key_opts,
-                           const JoinOptions& options,
-                           size_t num_partitions,
-                           std::vector<Match>* matches) {
-  ARDA_FAULT_POINT(fault::kPartitionSpill);
-  trace::StageScope scope("join_partition");
-  const size_t num_keys = hard_foreign_cols.size();
-  std::vector<size_t> local_idx(num_keys);
-  for (size_t k = 0; k < num_keys; ++k) local_idx[k] = k;
-
-  // Key specs for both sides, recomputed whenever `working` changes
-  // (aggregation reorders columns, so foreign indices resolve by name).
-  // The native-int64 flag is decided once per key *pair* and shared by
-  // both sides — a per-side decision could split matching rows across
-  // partitions (partition.h).
-  std::vector<size_t> fidx;
-  std::vector<df::PartitionKeySpec> fspecs;
-  std::vector<df::PartitionKeySpec> bspecs;
-  auto build_specs = [&]() {
-    fidx.clear();
-    fspecs.clear();
-    bspecs.clear();
-    for (size_t k = 0; k < num_keys; ++k) {
-      const size_t fi = working->ColumnIndex(hard_foreign_cols[k]);
-      ARDA_CHECK(fi != df::DataFrame::kNpos);
-      fidx.push_back(fi);
-      const double granularity = key_opts.probe_granularity[k];
-      const bool native =
-          working->col(fi).type() == df::DataType::kInt64 &&
-          base.col(hard_base_idx[k]).type() == df::DataType::kInt64 &&
-          granularity <= 0.0;
-      df::PartitionKeySpec fspec;
-      fspec.col = fi;
-      fspec.native = native;
-      fspecs.push_back(fspec);
-      df::PartitionKeySpec bspec;
-      bspec.col = hard_base_idx[k];
-      bspec.granularity = granularity;
-      bspec.native = native;
-      bspecs.push_back(bspec);
-    }
-  };
-  build_specs();
-  std::vector<std::vector<size_t>> fparts =
-      df::PartitionRowsByKey(*working, fspecs, num_partitions);
-
-  // Pass 1: per-partition duplicate detection. Equal key tuples are
-  // colocated, so a duplicate in any partition == a duplicate the
-  // whole-table index would have seen, and the encoders can be dropped
-  // right away (bounding resident memory to in-flight partitions).
-  std::vector<uint8_t> has_dup(num_partitions, 0);
-  ParallelFor(num_partitions, 0, [&](size_t p) {
-    if (fparts[p].empty()) return;
-    df::DataFrame sub = TakeKeyColumns(*working, fidx, fparts[p]);
-    df::KeyEncoder encoder(sub, local_idx, key_opts);
-    has_dup[p] = encoder.HasDuplicates() ? 1 : 0;
-  });
-  if (std::find(has_dup.begin(), has_dup.end(), 1) != has_dup.end()) {
-    df::AggregateOptions agg = options.aggregate;
-    agg.partition_count = options.partition_count;
-    agg.memory_budget_bytes = options.memory_budget_bytes;
-    ARDA_ASSIGN_OR_RETURN(
-        *working, df::GroupByAggregate(*working, foreign_key_cols, agg));
-    build_specs();
-    fparts = df::PartitionRowsByKey(*working, fspecs, num_partitions);
-  }
-
-  // Pass 2: probe. Every base row belongs to exactly one partition, and
-  // its key — if present at all — can only live in the matching foreign
-  // partition, so writes to `matches` are disjoint.
-  std::vector<std::vector<size_t>> bparts =
-      df::PartitionRowsByKey(base, bspecs, num_partitions);
-  ParallelFor(num_partitions, 0, [&](size_t p) {
-    if (bparts[p].empty() || fparts[p].empty()) return;
-    df::DataFrame fsub = TakeKeyColumns(*working, fidx, fparts[p]);
-    df::KeyEncoder encoder(fsub, local_idx, key_opts);
-    df::DataFrame bsub = TakeKeyColumns(base, hard_base_idx, bparts[p]);
-    std::vector<uint64_t> gids(bparts[p].size());
-    encoder.ProbeAll(bsub, local_idx, gids.data());
-    for (size_t i = 0; i < bparts[p].size(); ++i) {
-      const size_t r = bparts[p][i];
-      bool any_null = false;
-      for (size_t bi : hard_base_idx) {
-        if (base.col(bi).IsNull(r)) {
-          any_null = true;
-          break;
-        }
-      }
-      if (any_null) continue;
-      if (gids[i] != df::KeyEncoder::kMiss) {
-        (*matches)[r].low = fparts[p][encoder.group_first_row()[gids[i]]];
-      }
-    }
-  });
-  return Status::Ok();
 }
 
 }  // namespace
@@ -338,24 +205,7 @@ Result<df::DataFrame> ExecuteLeftJoin(const df::DataFrame& base,
   const size_t n = base.NumRows();
   std::vector<Match> matches(n);
 
-  // Hard-only joins with a memory budget (or an explicit partition count)
-  // take the radix-partitioned path; soft joins need the whole foreign
-  // table sorted per hard-key group for nearest-neighbour matching and
-  // stay single-pass.
-  const size_t num_partitions =
-      soft_key == nullptr
-          ? df::ChoosePartitionCount(options.partition_count,
-                                     options.memory_budget_bytes,
-                                     df::EstimateFrameBytes(working) +
-                                         df::EstimateFrameBytes(base))
-          : 1;
-
-  if (soft_key == nullptr && num_partitions > 1 &&
-      working.NumRows() > 0 && n > 0) {
-    ARDA_RETURN_IF_ERROR(PartitionedHardJoin(
-        base, &working, foreign_key_cols, hard_foreign_cols, hard_base_idx,
-        key_opts, options, num_partitions, &matches));
-  } else if (soft_key == nullptr) {
+  if (soft_key == nullptr) {
     // One-to-many handling: pre-aggregate so each key combination appears
     // exactly once; hard joins aggregate only when the foreign key tuples
     // repeat, which the first index build detects for free (with no soft

@@ -41,18 +41,6 @@ struct JoinOptions {
   /// Prefix applied to foreign columns on name collision; defaults to
   /// "<table>." when empty and the candidate names a table.
   std::string column_prefix;
-  /// Radix partitions for the out-of-core hard-join path: build and probe
-  /// rows split by key hash, each partition indexed and probed as an
-  /// independent ThreadPool task, matches written to disjoint slots —
-  /// bit-identical to the single-pass join at any count. 0 derives the
-  /// count from `memory_budget_bytes`; a resolved count of <= 1 (or any
-  /// soft-key join, which needs whole-table nearest-neighbour order) runs
-  /// the existing single pass.
-  size_t partition_count = 0;
-  /// Soft per-join working-set budget, consulted only when
-  /// `partition_count` == 0 (0 = unbounded). Forwarded, together with
-  /// `partition_count`, to the one-to-many pre-aggregation pass.
-  uint64_t memory_budget_bytes = 0;
 };
 
 /// Executes the augmentation join ARDA needs: a LEFT JOIN that keeps every

@@ -51,31 +51,47 @@ std::string ShuttingDownResponse(const std::string& request_id) {
                         request_id);
 }
 
+// Reads an optional integer member: absent yields `fallback`; present
+// but not an exact int64 (1.5, 1e300, 9223372036854775808, a string) is
+// an error naming the field, never a silent truncation.
+Result<int64_t> IntField(const json::Value& request, const char* key,
+                         int64_t fallback) {
+  const json::Value* v = request.Find(key);
+  if (v == nullptr) return fallback;
+  if (!v->is_number() || !v->IsExactInt64()) {
+    return Status::InvalidArgument(
+        StrFormat("\"%s\" must be an integer in int64 range", key));
+  }
+  return v->AsInt64();
+}
+
 // The request fields that determine augmentation results, in their
 // canonical (CLI-equivalent) spelling. `threads` is deliberately not one
 // of them: results are thread-count-invariant, so requests differing only
 // in `threads` share a resident result.
-core::RunOptions OptionsFromRequest(const json::Value& request) {
+Result<core::RunOptions> OptionsFromRequest(const json::Value& request) {
   core::RunOptions options;
   options.task = request.StringOr("task", options.task);
   options.selector = request.StringOr("selector", options.selector);
   options.plan = request.StringOr("plan", options.plan);
   options.plan_order = request.StringOr("plan_order", options.plan_order);
   options.soft_join = request.StringOr("soft_join", options.soft_join);
-  options.seed = static_cast<uint64_t>(
-      request.IntOr("seed", static_cast<int64_t>(options.seed)));
-  options.num_threads = static_cast<size_t>(request.IntOr("threads", 0));
-  // Like `threads`, `memory_budget` never affects results (partitioned
-  // kernels are bit-identical to single-pass), so it is also excluded
-  // from the canonical key below.
-  options.memory_budget_bytes =
-      static_cast<uint64_t>(request.IntOr("memory_budget", 0));
+  ARDA_ASSIGN_OR_RETURN(
+      const int64_t seed,
+      IntField(request, "seed", static_cast<int64_t>(options.seed)));
+  options.seed = static_cast<uint64_t>(seed);
+  ARDA_ASSIGN_OR_RETURN(const int64_t threads,
+                        IntField(request, "threads", 0));
+  if (threads < 0) {
+    return Status::InvalidArgument("\"threads\" must be >= 0");
+  }
+  options.num_threads = static_cast<size_t>(threads);
   return options;
 }
 
 std::string CanonicalAugmentKey(const json::Value& request,
+                                const core::RunOptions& options,
                                 uint64_t generation) {
-  const core::RunOptions options = OptionsFromRequest(request);
   std::map<std::string, json::Value> members;
   members.emplace("base",
                   json::Value::MakeString(request.StringOr("base", "")));
@@ -419,9 +435,11 @@ Result<std::string> ArdaService::HandleAugment(
   if (shutting_down_.load(std::memory_order_relaxed)) {
     return ShuttingDownResponse(request_id);
   }
+  ARDA_ASSIGN_OR_RETURN(const core::RunOptions options,
+                        OptionsFromRequest(request));
   std::shared_ptr<const Snapshot> snapshot = CurrentSnapshot();
-  const std::string key = CanonicalAugmentKey(request,
-                                              snapshot->generation);
+  const std::string key =
+      CanonicalAugmentKey(request, options, snapshot->generation);
   {
     std::lock_guard<std::mutex> lock(results_mu_);
     auto it = results_.find(key);
@@ -456,8 +474,9 @@ Result<std::string> ArdaService::HandleAugment(
   std::promise<Result<std::string>> promise;
   std::future<Result<std::string>> future = promise.get_future();
   GlobalThreadPool().Submit(
-      [this, &request, &snapshot, &promise, stages_out] {
-        promise.set_value(RunAugment(request, snapshot, stages_out));
+      [this, &request, &options, &snapshot, &promise, stages_out] {
+        promise.set_value(
+            RunAugment(request, options, snapshot, stages_out));
       });
   Result<std::string> result = future.get();
   {
@@ -487,7 +506,7 @@ Result<std::string> ArdaService::HandleAugment(
 }
 
 Result<std::string> ArdaService::RunAugment(
-    const json::Value& request,
+    const json::Value& request, const core::RunOptions& options,
     std::shared_ptr<const Snapshot> snapshot,
     std::vector<trace::StageCollector::Entry>* stages_out) {
   // Collect the per-stage wall times of this run (on this pool thread)
@@ -502,7 +521,6 @@ Result<std::string> ArdaService::RunAugment(
     return Status::InvalidArgument(
         "augment request needs \"base\" and \"target\"");
   }
-  const core::RunOptions options = OptionsFromRequest(request);
   ARDA_ASSIGN_OR_RETURN(core::ArdaConfig config,
                         core::MakeArdaConfig(options));
   ARDA_ASSIGN_OR_RETURN(ml::TaskType task_type,

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/arda.h"
+#include "core/options.h"
 #include "discovery/repository.h"
 #include "service/wire.h"
 #include "util/json.h"
@@ -171,10 +172,11 @@ class ArdaService {
   std::string HandleStats();
   std::string HandlePing();
 
-  /// Runs one augment request on the calling (pool) thread; the stage
-  /// breakdown of the run lands in `stages_out`.
+  /// Runs one augment request, with `options` already decoded from it, on
+  /// the calling (pool) thread; the stage breakdown of the run lands in
+  /// `stages_out`.
   Result<std::string> RunAugment(
-      const json::Value& request,
+      const json::Value& request, const core::RunOptions& options,
       std::shared_ptr<const Snapshot> snapshot,
       std::vector<trace::StageCollector::Entry>* stages_out);
 

@@ -94,9 +94,8 @@ const std::vector<std::string_view>& AllFaultSites() {
   static const std::vector<std::string_view>* sites =
       new std::vector<std::string_view>{
           kCsvParse, kColumnarRead, kColumnarMap, kStatsDecode,
-          kJoinKeyEncode, kPreAggregate, kPartitionSpill, kResample,
-          kImpute, kCholesky, kCoreset, kRifs, kServiceAccept,
-          kServiceIngest,
+          kJoinKeyEncode, kPreAggregate, kResample, kImpute,
+          kCholesky, kCoreset, kRifs, kServiceAccept, kServiceIngest,
       };
   return *sites;
 }

@@ -39,11 +39,6 @@ inline constexpr std::string_view kColumnarMap = "columnar_map";
 inline constexpr std::string_view kStatsDecode = "stats_decode";
 inline constexpr std::string_view kJoinKeyEncode = "join_key_encode";
 inline constexpr std::string_view kPreAggregate = "preaggregate";
-/// Radix-partitioned join/group-by drivers, hit before any partition
-/// scatter buffer is built. An injected failure aborts the partitioned
-/// kernel with a Status; the pipeline skips the candidate exactly like a
-/// join_key_encode fault.
-inline constexpr std::string_view kPartitionSpill = "partition_spill";
 inline constexpr std::string_view kResample = "resample";
 inline constexpr std::string_view kImpute = "impute";
 inline constexpr std::string_view kCholesky = "cholesky";

@@ -306,9 +306,7 @@ double Value::NumberOr(std::string_view key, double fallback) const {
 
 int64_t Value::IntOr(std::string_view key, int64_t fallback) const {
   const Value* v = Find(key);
-  if (v == nullptr || !v->is_number()) return fallback;
-  if (v->IsExactInt64()) return v->AsInt64();
-  return static_cast<int64_t>(v->AsDouble());
+  return (v != nullptr && v->IsExactInt64()) ? v->AsInt64() : fallback;
 }
 
 bool Value::BoolOr(std::string_view key, bool fallback) const {

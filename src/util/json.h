@@ -54,9 +54,10 @@ class Value {
   /// Object member lookup; nullptr when absent or not an object.
   const Value* Find(std::string_view key) const;
 
-  /// Typed member accessors with defaults: missing members (or a non-
-  /// object receiver) return `fallback`; present members of the wrong
-  /// type return a Status via the Get* forms below.
+  /// Typed member accessors with defaults: missing members, members of
+  /// the wrong type (or a non-object receiver) return `fallback`. IntOr
+  /// treats a number that is not an exact int64 (1.5, 1e300, 2^63) as the
+  /// wrong type: it never truncates or casts out of range.
   std::string StringOr(std::string_view key, std::string fallback) const;
   double NumberOr(std::string_view key, double fallback) const;
   int64_t IntOr(std::string_view key, int64_t fallback) const;

@@ -37,8 +37,8 @@ bool ParseInt64(std::string_view text, int64_t* out);
 /// Parses a byte-size spelling: a non-negative decimal integer with an
 /// optional single case-insensitive binary suffix `k`/`m`/`g` (multiples
 /// of 1024; "64m" = 64 MiB). Rejects signs, fractions, trailing garbage,
-/// and values that overflow uint64 after scaling. Used by the
-/// `--memory-budget` flags.
+/// and values that overflow uint64 after scaling. Used by
+/// `bench_kernels --oocore-budget`.
 bool ParseByteSize(std::string_view text, uint64_t* out);
 
 /// Lower-cases ASCII letters.

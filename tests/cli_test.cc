@@ -21,8 +21,8 @@ TEST(CliParseTest, RequiredFlags) {
   EXPECT_EQ(options->data_dir, "/tmp/x");
   EXPECT_EQ(options->base_table, "sales");
   EXPECT_EQ(options->target, "y");
-  EXPECT_EQ(options->selector, "rifs");
-  EXPECT_EQ(options->task, "regression");
+  EXPECT_EQ(options->run.selector, "rifs");
+  EXPECT_EQ(options->run.task, "regression");
 }
 
 TEST(CliParseTest, MissingRequiredFails) {
@@ -47,12 +47,12 @@ TEST(CliParseTest, AllOptionalFlags) {
        "--selector=f_test", "--plan=full", "--soft-join=nearest",
        "--output=out.csv", "--seed=99"});
   ASSERT_TRUE(options.ok());
-  EXPECT_EQ(options->task, "classification");
-  EXPECT_EQ(options->selector, "f_test");
-  EXPECT_EQ(options->plan, "full");
-  EXPECT_EQ(options->soft_join, "nearest");
+  EXPECT_EQ(options->run.task, "classification");
+  EXPECT_EQ(options->run.selector, "f_test");
+  EXPECT_EQ(options->run.plan, "full");
+  EXPECT_EQ(options->run.soft_join, "nearest");
   EXPECT_EQ(options->output, "out.csv");
-  EXPECT_EQ(options->seed, 99u);
+  EXPECT_EQ(options->run.seed, 99u);
 }
 
 TEST(CliParseTest, BadValuesFail) {
@@ -66,11 +66,11 @@ TEST(CliParseTest, BadValuesFail) {
 
 TEST(CliConfigTest, TranslatesPlanAndSoftJoin) {
   CliOptions options;
-  options.plan = "table";
-  options.soft_join = "hard";
-  options.selector = "mutual_info";
-  options.seed = 5;
-  Result<core::ArdaConfig> config = MakeConfig(options);
+  options.run.plan = "table";
+  options.run.soft_join = "hard";
+  options.run.selector = "mutual_info";
+  options.run.seed = 5;
+  Result<core::ArdaConfig> config = core::MakeArdaConfig(options.run);
   ASSERT_TRUE(config.ok());
   EXPECT_EQ(config->plan, core::JoinPlanKind::kTableAtATime);
   EXPECT_EQ(config->join.soft_method, join::SoftJoinMethod::kHardExact);
@@ -80,11 +80,11 @@ TEST(CliConfigTest, TranslatesPlanAndSoftJoin) {
 
 TEST(CliConfigTest, RejectsBadPlanAndSoftJoin) {
   CliOptions options;
-  options.plan = "spiral";
-  EXPECT_FALSE(MakeConfig(options).ok());
-  options.plan = "budget";
-  options.soft_join = "psychic";
-  EXPECT_FALSE(MakeConfig(options).ok());
+  options.run.plan = "spiral";
+  EXPECT_FALSE(core::MakeArdaConfig(options.run).ok());
+  options.run.plan = "budget";
+  options.run.soft_join = "psychic";
+  EXPECT_FALSE(core::MakeArdaConfig(options.run).ok());
 }
 
 TEST(CliRunTest, EndToEndOverTempCsvDir) {

@@ -1,9 +1,11 @@
 // Remaining API corners: discovery without name matching, transitive
 // multi-path ordering, evaluator/report round trips on a live pipeline
-// run, small-model edge cases, and CHECK-abort death tests (programmer
-// errors must fail loudly, not corrupt state).
+// run, report serialization, small-model edge cases, and CHECK-abort
+// death tests (programmer errors must fail loudly, not corrupt state).
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
 
 #include "core/arda.h"
 #include "core/report_io.h"
@@ -116,6 +118,47 @@ TEST(ReportJsonIntegrationTest, LivePipelineReportSerializes) {
             std::count(json.begin(), json.end(), ']'));
   EXPECT_NE(json.find("\"batches\""), std::string::npos);
   EXPECT_NE(json.find("\"selected_features\""), std::string::npos);
+}
+
+TEST(ReportIoTest, JsonEscaping) {
+  EXPECT_EQ(core::JsonEscape("a\"b"), "a\\\"b");
+  EXPECT_EQ(core::JsonEscape("back\\slash"), "back\\\\slash");
+  EXPECT_EQ(core::JsonEscape("line\nbreak"), "line\\nbreak");
+}
+
+TEST(ReportIoTest, SerializesReportFields) {
+  core::ArdaReport report;
+  report.base_score = -2.5;
+  report.final_score = -1.25;
+  report.tables_considered = 4;
+  report.tables_joined = 2;
+  core::BatchLog batch;
+  batch.tables = {"weather", "events"};
+  batch.accepted = true;
+  batch.features_considered = 10;
+  batch.features_kept = 3;
+  report.batches.push_back(batch);
+  ASSERT_TRUE(report.augmented
+                  .AddColumn(df::Column::Double("x", {1.0}))
+                  .ok());
+  report.selected_features = {"x", "weather.temp"};
+
+  std::string json = core::ReportToJson(report);
+  EXPECT_NE(json.find("\"base_score\": -2.5"), std::string::npos);
+  EXPECT_NE(json.find("\"final_score\": -1.25"), std::string::npos);
+  EXPECT_NE(json.find("\"improvement_percent\": 50"), std::string::npos);
+  EXPECT_NE(json.find("\"tables_joined\": 2"), std::string::npos);
+  EXPECT_NE(json.find("\"weather\""), std::string::npos);
+  EXPECT_NE(json.find("\"accepted\": true"), std::string::npos);
+  EXPECT_NE(json.find("\"augmented_rows\": 1"), std::string::npos);
+}
+
+TEST(ReportIoTest, WritesFile) {
+  core::ArdaReport report;
+  std::string path = testing::TempDir() + "/arda_report.json";
+  ASSERT_TRUE(core::WriteReportJson(report, path).ok());
+  std::remove(path.c_str());
+  EXPECT_FALSE(core::WriteReportJson(report, "/no/such/dir/x.json").ok());
 }
 
 TEST(BoostingEdgeTest, ConstantTargetPredictsConstant) {

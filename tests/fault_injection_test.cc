@@ -17,14 +17,11 @@
 #include <map>
 
 #include "core/arda.h"
-#include "dataframe/aggregate.h"
 #include "dataframe/csv.h"
 #include "discovery/repository.h"
-#include "join/join_executor.h"
 #include "tools/cli.h"
 #include "util/fault.h"
 #include "util/metrics.h"
-#include "util/rng.h"
 
 namespace arda {
 namespace {
@@ -285,71 +282,6 @@ TEST(FaultInjectionTest, ColumnarMapFaultFallsBackToCsv) {
   fs::remove_all(cache_dir);
 }
 
-TEST(FaultInjectionTest, PartitionSpillFaultFailsPartitionedKernels) {
-  FaultGuard guard;
-  // The site only exists on the radix-partitioned paths: unpartitioned
-  // runs never hit it, partitioned runs surface it as a deterministic
-  // Status regardless of which partition task would have executed.
-  Scenario s;
-  MakeScenario(&s);
-  const df::DataFrame& evt = s.repo.GetOrDie("evt");
-
-  ASSERT_TRUE(fault::SetFaultSpecForTest("partition_spill").ok());
-  fault::ResetFaultCounters();
-  df::AggregateOptions agg;
-  agg.partition_count = 2;
-  Result<df::DataFrame> grouped = df::GroupByAggregate(evt, {"k"}, agg);
-  ASSERT_FALSE(grouped.ok());
-  EXPECT_NE(grouped.status().message().find("injected fault"),
-            std::string::npos);
-
-  ASSERT_TRUE(fault::SetFaultSpecForTest("partition_spill").ok());
-  fault::ResetFaultCounters();
-  discovery::CandidateJoin cand;
-  cand.foreign_table = "evt";
-  cand.keys = {discovery::JoinKeyPair{"k", "k", discovery::KeyKind::kHard}};
-  join::JoinOptions join_options;
-  join_options.partition_count = 2;
-  Rng rng(11);
-  Result<df::DataFrame> joined =
-      join::ExecuteLeftJoin(s.task.base, evt, cand, join_options, &rng);
-  ASSERT_FALSE(joined.ok());
-  EXPECT_NE(joined.status().message().find("injected fault"),
-            std::string::npos);
-
-  // Disarmed, the same partitioned calls succeed and match single-pass.
-  ASSERT_TRUE(fault::SetFaultSpecForTest("").ok());
-  Result<df::DataFrame> clean =
-      df::GroupByAggregate(evt, {"k"}, df::AggregateOptions{});
-  Result<df::DataFrame> parts = df::GroupByAggregate(evt, {"k"}, agg);
-  ASSERT_TRUE(clean.ok());
-  ASSERT_TRUE(parts.ok());
-  EXPECT_EQ(df::WriteCsvString(*clean), df::WriteCsvString(*parts));
-}
-
-TEST(FaultInjectionTest, PipelineCompletesUnderPartitionSpillWithBudget) {
-  FaultGuard guard;
-  // End to end: a memory-budgeted run that partitions its joins must
-  // degrade gracefully under the spill fault — candidates skip, the run
-  // completes on base features.
-  ASSERT_TRUE(fault::SetFaultSpecForTest("partition_spill").ok());
-  fault::ResetFaultCounters();
-  Scenario s;
-  MakeScenario(&s);
-  core::ArdaConfig config = MakeConfig();
-  config.join.memory_budget_bytes = 1;  // forces max fan-out on every join
-  Result<core::ArdaReport> report = core::Arda(config).Run(s.task);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  bool any_injected = false;
-  for (const core::SkippedCandidate& skip : report->skipped_candidates) {
-    if (skip.reason.find("injected fault") != std::string::npos) {
-      any_injected = true;
-    }
-  }
-  EXPECT_TRUE(any_injected);
-  EXPECT_GT(report->augmented.NumRows(), 0u);
-}
-
 TEST(FaultInjectionTest, StatsDecodeFaultFallsBackToCsv) {
   FaultGuard guard;
   namespace fs = std::filesystem;
@@ -407,7 +339,7 @@ TEST(FaultInjectionTest, CliReportsIngestSkipUnderColumnarFault) {
   options.data_dir = dir;
   options.base_table = "base";
   options.target = "y";
-  options.num_threads = 1;
+  options.run.num_threads = 1;
   options.table_cache = cache_dir;
   options.report_json = dir + "/report.json";
 
@@ -456,7 +388,7 @@ TEST(FaultInjectionTest, CliCompletesAndReportsSkipsUnderFault) {
   options.data_dir = dir;
   options.base_table = "base";
   options.target = "y";
-  options.num_threads = 1;
+  options.run.num_threads = 1;
   options.report_json = dir + "/report.json";
   // RunCli returning Ok is what arda_cli_main maps to exit code 0.
   Status status = tools::RunCli(options);

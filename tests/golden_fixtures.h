@@ -162,9 +162,7 @@ inline df::DataFrame GoldenForeignFrame() {
   return foreign;
 }
 
-/// `partition_count` pins the radix-partitioned out-of-core path (0 =
-/// single-pass); the output is bit-identical for every value by contract.
-inline std::string GoldenHardJoinCsv(size_t partition_count = 0) {
+inline std::string GoldenHardJoinCsv() {
   df::DataFrame base = GoldenBaseFrame();
   df::DataFrame foreign = GoldenForeignFrame();
   discovery::CandidateJoin cand;
@@ -172,18 +170,14 @@ inline std::string GoldenHardJoinCsv(size_t partition_count = 0) {
   cand.keys = {
       discovery::JoinKeyPair{"id", "fid", discovery::KeyKind::kHard},
       discovery::JoinKeyPair{"city", "fcity", discovery::KeyKind::kHard}};
-  join::JoinOptions options;
-  options.partition_count = partition_count;
   Rng rng(3);
   Result<df::DataFrame> joined =
-      join::ExecuteLeftJoin(base, foreign, cand, options, &rng);
+      join::ExecuteLeftJoin(base, foreign, cand, {}, &rng);
   ARDA_CHECK(joined.ok());
   return df::WriteCsvString(joined.value());
 }
 
-/// Soft joins never partition their probe, but `partition_count` still
-/// reaches the pre-aggregation group-by; output must not change.
-inline std::string GoldenSoftJoinCsv(size_t partition_count = 0) {
+inline std::string GoldenSoftJoinCsv() {
   df::DataFrame base = GoldenBaseFrame();
   df::DataFrame foreign = GoldenForeignFrame();
   discovery::CandidateJoin cand;
@@ -193,7 +187,6 @@ inline std::string GoldenSoftJoinCsv(size_t partition_count = 0) {
       discovery::JoinKeyPair{"t", "ft", discovery::KeyKind::kSoft}};
   join::JoinOptions options;
   options.soft_method = join::SoftJoinMethod::kTwoWayNearest;
-  options.partition_count = partition_count;
   Rng rng(5);
   Result<df::DataFrame> joined =
       join::ExecuteLeftJoin(base, foreign, cand, options, &rng);
@@ -253,13 +246,12 @@ inline std::string GoldenGeoJoinCsv() {
   return df::WriteCsvString(joined.value());
 }
 
-inline std::string GoldenAggregateCsv(size_t partition_count = 0) {
+inline std::string GoldenAggregateCsv() {
   df::DataFrame frame = GoldenForeignFrame();
   df::AggregateOptions options;
   options.numeric = df::NumericAgg::kMedian;
   options.categorical = df::CategoricalAgg::kMode;
   options.add_count = true;
-  options.partition_count = partition_count;
   Result<df::DataFrame> grouped =
       df::GroupByAggregate(frame, {"fid", "fcity", "ft"}, options);
   ARDA_CHECK(grouped.ok());

@@ -113,36 +113,5 @@ TEST(GoldenKernelsTest, GoldensAreSimdLevelInvariant) {
   simd::SetLevel(prev);
 }
 
-// The radix-partitioned out-of-core kernels must reproduce the goldens at
-// every partition count, at every SIMD dispatch level: partitioning is a
-// memory-shape knob, never an output knob (DESIGN.md "Out-of-core
-// execution"). 1 = the partitioned machinery with one partition, 2 = the
-// smallest real fan-out, 7 = a count that exercises non-power-of-two
-// modulo placement.
-TEST(GoldenKernelsTest, GoldensArePartitionCountInvariant) {
-  const simd::SimdLevel prev = simd::ActiveLevel();
-  std::vector<simd::SimdLevel> levels = {simd::SimdLevel::kScalar};
-  const char* env = std::getenv("ARDA_SIMD");
-  const bool pinned_scalar =
-      env != nullptr && std::string_view(env) == "scalar";
-  if (simd::Avx2Supported() && !pinned_scalar) {
-    levels.push_back(simd::SimdLevel::kAvx2);
-  }
-  for (simd::SimdLevel level : levels) {
-    ASSERT_TRUE(simd::SetLevel(level));
-    for (size_t partitions : {size_t{1}, size_t{2}, size_t{7}}) {
-      SCOPED_TRACE(std::string(simd::LevelName(level)) + " partitions=" +
-                   std::to_string(partitions));
-      EXPECT_EQ(golden::GoldenHardJoinCsv(partitions),
-                ReadGolden("join_hard.csv"));
-      EXPECT_EQ(golden::GoldenSoftJoinCsv(partitions),
-                ReadGolden("join_soft.csv"));
-      EXPECT_EQ(golden::GoldenAggregateCsv(partitions),
-                ReadGolden("aggregate.csv"));
-    }
-  }
-  simd::SetLevel(prev);
-}
-
 }  // namespace
 }  // namespace arda

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "ml/decision_tree.h"
+#include "ml/knn.h"
 #include "ml/linear.h"
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
@@ -442,6 +443,49 @@ TEST(DecisionTreeNanTest, AllNanColumnIsTreatedAsConstant) {
   EXPECT_GT(tree.NumNodes(), 1u);
   EXPECT_EQ(tree.feature_importances()[0], 0.0);
   EXPECT_GT(tree.feature_importances()[1], 0.0);
+}
+
+TEST(KnnTest, ClassificationOnBlobs) {
+  Rng rng(5);
+  la::Matrix x(200, 2);
+  std::vector<double> y(200);
+  for (size_t i = 0; i < 200; ++i) {
+    bool positive = i % 2 == 0;
+    y[i] = positive ? 1.0 : 0.0;
+    x(i, 0) = rng.Normal(positive ? 2.0 : -2.0, 0.6);
+    x(i, 1) = rng.Normal();
+  }
+  ml::KnnConfig config;
+  config.task = ml::TaskType::kClassification;
+  ml::KNearestNeighbors knn(config);
+  knn.Fit(x, y);
+  EXPECT_GT(ml::Accuracy(y, knn.Predict(x)), 0.95);
+}
+
+TEST(KnnTest, RegressionInterpolates) {
+  la::Matrix x(5, 1, std::vector<double>{0, 1, 2, 3, 4});
+  std::vector<double> y = {0, 10, 20, 30, 40};
+  ml::KnnConfig config;
+  config.task = ml::TaskType::kRegression;
+  config.k = 2;
+  ml::KNearestNeighbors knn(config);
+  knn.Fit(x, y);
+  la::Matrix query(1, 1, std::vector<double>{1.5});
+  // 2 nearest of 1.5 are 1 and 2 -> mean 15.
+  EXPECT_NEAR(knn.Predict(query)[0], 15.0, 1e-9);
+}
+
+TEST(KnnTest, DistanceWeightingPullsTowardCloserNeighbor) {
+  la::Matrix x(2, 1, std::vector<double>{0.0, 10.0});
+  std::vector<double> y = {0.0, 100.0};
+  ml::KnnConfig config;
+  config.task = ml::TaskType::kRegression;
+  config.k = 2;
+  config.distance_weighted = true;
+  ml::KNearestNeighbors knn(config);
+  knn.Fit(x, y);
+  la::Matrix query(1, 1, std::vector<double>{1.0});
+  EXPECT_LT(knn.Predict(query)[0], 50.0);  // closer to 0 than to 10
 }
 
 }  // namespace

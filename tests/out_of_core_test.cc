@@ -1,8 +1,7 @@
 // Out-of-core repository coverage: the mmap-backed `.ardac` v3 reader
 // (dataframe/mapped_columnar.h), the borrowed-column lifetime contract,
 // the stat-based file sizing, the repository's map_cache mode, and the
-// radix-partitioned join / group-by kernels' bit-identity at every
-// partition count.
+// byte-size parser.
 
 #include <gtest/gtest.h>
 
@@ -11,18 +10,14 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "dataframe/aggregate.h"
 #include "dataframe/column_stats.h"
 #include "dataframe/columnar_io.h"
 #include "dataframe/csv.h"
 #include "dataframe/mapped_columnar.h"
-#include "dataframe/partition.h"
 #include "discovery/repository.h"
-#include "join/join_executor.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -360,173 +355,7 @@ TEST(RepositoryMapCacheTest, CorruptCacheDegradesToCsv) {
   }
 }
 
-// --- radix partitioning primitives ---
-
-TEST(PartitionTest, EveryRowLandsInExactlyOnePartitionAscending) {
-  DataFrame frame;
-  std::vector<int64_t> keys;
-  std::vector<double> soft;
-  for (int i = 0; i < 200; ++i) {
-    keys.push_back(i % 23);
-    soft.push_back(static_cast<double>(i % 7) * 1.5);
-  }
-  ASSERT_TRUE(frame.AddColumn(Column::Int64("k", keys)).ok());
-  ASSERT_TRUE(frame.AddColumn(Column::Double("s", soft)).ok());
-
-  std::vector<PartitionKeySpec> specs(2);
-  specs[0].col = 0;
-  specs[0].native = true;
-  specs[1].col = 1;
-  specs[1].granularity = 2.0;
-  for (size_t p : {size_t{1}, size_t{2}, size_t{7}}) {
-    std::vector<std::vector<size_t>> parts =
-        PartitionRowsByKey(frame, specs, p);
-    ASSERT_EQ(parts.size(), p);
-    std::set<size_t> seen;
-    for (const std::vector<size_t>& rows : parts) {
-      for (size_t j = 0; j < rows.size(); ++j) {
-        if (j > 0) EXPECT_LT(rows[j - 1], rows[j]);
-        EXPECT_TRUE(seen.insert(rows[j]).second) << "row " << rows[j];
-      }
-    }
-    EXPECT_EQ(seen.size(), frame.NumRows());
-    // Equal keys colocate: rows with identical key tuples share a
-    // partition (the property the per-partition build/probe relies on).
-    std::vector<size_t> partition_of(frame.NumRows());
-    for (size_t pi = 0; pi < parts.size(); ++pi) {
-      for (size_t row : parts[pi]) partition_of[row] = pi;
-    }
-    for (size_t r = 0; r < frame.NumRows(); ++r) {
-      // i % 23 and bucket(i % 7 * 1.5, 2.0) repeat with period 161.
-      if (r + 161 < frame.NumRows()) {
-        EXPECT_EQ(partition_of[r], partition_of[r + 161]) << "row " << r;
-      }
-    }
-  }
-}
-
-TEST(PartitionTest, ChoosePartitionCountScalesWithBudget) {
-  EXPECT_EQ(ChoosePartitionCount(5, 1000, 10), 5u);  // explicit wins
-  EXPECT_EQ(ChoosePartitionCount(0, 0, 1 << 30), 1u);  // no budget
-  EXPECT_EQ(ChoosePartitionCount(0, 100, 50), 1u);
-  EXPECT_EQ(ChoosePartitionCount(0, 100, 250), 3u);
-  EXPECT_EQ(ChoosePartitionCount(0, 1, uint64_t{1} << 40), 256u);  // clamp
-}
-
-TEST(PartitionTest, MemoryBudgetForcesPartitioningWithIdenticalOutput) {
-  Rng rng(13);
-  DataFrame frame;
-  std::vector<int64_t> keys;
-  std::vector<double> vals;
-  Column tags = Column::Empty("t", DataType::kString);
-  for (int i = 0; i < 500; ++i) {
-    keys.push_back(i % 37);
-    vals.push_back(rng.Normal());
-    tags.AppendString(i % 3 == 0 ? "odd" : "even");
-  }
-  ASSERT_TRUE(frame.AddColumn(Column::Int64("k", keys)).ok());
-  ASSERT_TRUE(frame.AddColumn(Column::Double("v", vals)).ok());
-  ASSERT_TRUE(frame.AddColumn(std::move(tags)).ok());
-
-  AggregateOptions single;
-  Result<DataFrame> reference = GroupByAggregate(frame, {"k"}, single);
-  ASSERT_TRUE(reference.ok());
-
-  AggregateOptions budgeted;
-  budgeted.memory_budget_bytes = 64;  // far below the frame estimate
-  Result<DataFrame> bounded = GroupByAggregate(frame, {"k"}, budgeted);
-  ASSERT_TRUE(bounded.ok());
-  EXPECT_EQ(WriteCsvString(*reference), WriteCsvString(*bounded));
-
-  for (size_t p : {size_t{1}, size_t{2}, size_t{7}}) {
-    AggregateOptions pinned;
-    pinned.partition_count = p;
-    Result<DataFrame> parts = GroupByAggregate(frame, {"k"}, pinned);
-    ASSERT_TRUE(parts.ok()) << "partitions " << p;
-    EXPECT_EQ(WriteCsvString(*reference), WriteCsvString(*parts))
-        << "partitions " << p;
-  }
-}
-
-TEST(PartitionTest, JoinMemoryBudgetIsBitInvariant) {
-  // Hard join with duplicate foreign keys (forces the partitioned
-  // dup-detect + pre-aggregate + probe pipeline) and null keys on both
-  // sides; the budgeted output must match the single-pass bytes exactly.
-  Rng rng(29);
-  DataFrame base;
-  {
-    Column id = Column::Empty("id", DataType::kInt64);
-    Column city = Column::Empty("city", DataType::kString);
-    Column y = Column::Empty("y", DataType::kDouble);
-    static const char* kCities[] = {"ann arbor", "boston", "cambridge"};
-    for (int i = 0; i < 150; ++i) {
-      if (i % 13 == 12) {
-        id.AppendNull();
-      } else {
-        id.AppendInt64(i % 31);
-      }
-      city.AppendString(kCities[i % 3]);
-      y.AppendDouble(rng.Normal());
-    }
-    ASSERT_TRUE(base.AddColumn(std::move(id)).ok());
-    ASSERT_TRUE(base.AddColumn(std::move(city)).ok());
-    ASSERT_TRUE(base.AddColumn(std::move(y)).ok());
-  }
-  DataFrame foreign;
-  {
-    Column fid = Column::Empty("fid", DataType::kInt64);
-    Column fcity = Column::Empty("fcity", DataType::kString);
-    Column score = Column::Empty("score", DataType::kDouble);
-    static const char* kCities[] = {"ann arbor", "boston", "cambridge"};
-    for (int i = 0; i < 220; ++i) {
-      if (i % 17 == 16) {
-        fid.AppendNull();
-      } else {
-        fid.AppendInt64(i % 31);  // duplicates force pre-aggregation
-      }
-      fcity.AppendString(kCities[i % 3]);
-      if (i % 11 == 10) {
-        score.AppendNull();
-      } else {
-        score.AppendDouble(rng.Normal());
-      }
-    }
-    ASSERT_TRUE(foreign.AddColumn(std::move(fid)).ok());
-    ASSERT_TRUE(foreign.AddColumn(std::move(fcity)).ok());
-    ASSERT_TRUE(foreign.AddColumn(std::move(score)).ok());
-  }
-  discovery::CandidateJoin cand;
-  cand.foreign_table = "aug";
-  cand.keys = {
-      discovery::JoinKeyPair{"id", "fid", discovery::KeyKind::kHard},
-      discovery::JoinKeyPair{"city", "fcity", discovery::KeyKind::kHard}};
-
-  Rng jrng(3);
-  Result<DataFrame> reference =
-      join::ExecuteLeftJoin(base, foreign, cand, {}, &jrng);
-  ASSERT_TRUE(reference.ok());
-  const std::string reference_csv = WriteCsvString(*reference);
-
-  join::JoinOptions budgeted;
-  budgeted.memory_budget_bytes = 64;
-  Rng brng(3);
-  Result<DataFrame> bounded =
-      join::ExecuteLeftJoin(base, foreign, cand, budgeted, &brng);
-  ASSERT_TRUE(bounded.ok());
-  EXPECT_EQ(reference_csv, WriteCsvString(*bounded));
-
-  for (size_t p : {size_t{1}, size_t{2}, size_t{7}}) {
-    join::JoinOptions pinned;
-    pinned.partition_count = p;
-    Rng prng(3);
-    Result<DataFrame> parts =
-        join::ExecuteLeftJoin(base, foreign, cand, pinned, &prng);
-    ASSERT_TRUE(parts.ok()) << "partitions " << p;
-    EXPECT_EQ(reference_csv, WriteCsvString(*parts)) << "partitions " << p;
-  }
-}
-
-// --- ParseByteSize: the --memory-budget spelling ---
+// --- ParseByteSize: the bench_kernels --oocore-budget spelling ---
 
 TEST(ParseByteSizeTest, ParsesSuffixesAndRejectsGarbage) {
   uint64_t out = 0;

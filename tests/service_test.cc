@@ -40,13 +40,22 @@ namespace fs = std::filesystem;
 
 TEST(JsonTest, ParsesScalarsExactly) {
   Result<json::Value> v = json::Parse(
-      "{\"b\":true,\"i\":-42,\"n\":null,\"s\":\"a\\nb\",\"x\":2.5}");
+      "{\"b\":true,\"i\":-42,\"n\":null,\"s\":\"a\\nb\",\"x\":2.5,"
+      "\"big\":1e300,\"over\":9223372036854775808,"
+      "\"max\":9223372036854775807}");
   ASSERT_TRUE(v.ok()) << v.status().ToString();
   EXPECT_TRUE(v->Find("n")->is_null());
   EXPECT_TRUE(v->BoolOr("b", false));
   EXPECT_EQ(v->IntOr("i", 0), -42);
   EXPECT_TRUE(v->Find("i")->IsExactInt64());
   EXPECT_DOUBLE_EQ(v->NumberOr("x", 0.0), 2.5);
+  // Numbers that are not exact int64s read as the fallback, never as a
+  // truncated or out-of-range cast.
+  EXPECT_EQ(v->IntOr("x", 7), 7);
+  EXPECT_EQ(v->IntOr("big", 7), 7);
+  EXPECT_EQ(v->IntOr("over", 7), 7);
+  EXPECT_FALSE(v->Find("over")->IsExactInt64());
+  EXPECT_EQ(v->IntOr("max", 7), INT64_MAX);
   EXPECT_EQ(v->StringOr("s", ""), "a\nb");
   EXPECT_EQ(v->Find("missing"), nullptr);
   EXPECT_EQ(v->StringOr("missing", "fallback"), "fallback");
@@ -254,6 +263,20 @@ TEST(ServiceTest, PingReportsSnapshotAndMalformedRequestsError) {
   json::Value unknown =
       MustParse(server.HandleRequest("{\"type\":\"bogus\"}"));
   EXPECT_EQ(unknown.StringOr("status", ""), "error");
+  // A seed or thread count that is not an exact int64, or a negative
+  // thread count, is an error that names the field.
+  for (const char* field :
+       {"\"seed\":1e300", "\"seed\":9223372036854775808", "\"seed\":1.5",
+        "\"seed\":\"7\"", "\"threads\":2.5", "\"threads\":-1"}) {
+    const std::string text = field;
+    json::Value rejected = MustParse(server.HandleRequest(
+        "{\"type\":\"augment\",\"base\":\"sales\",\"target\":\"y\"," +
+        text + "}"));
+    EXPECT_EQ(rejected.StringOr("status", ""), "error") << field;
+    const std::string name = text.substr(0, text.find(':'));
+    EXPECT_NE(rejected.StringOr("error", "").find(name), std::string::npos)
+        << field << ": " << rejected.StringOr("error", "");
+  }
 
   json::Value stats = MustParse(server.HandleRequest("{\"type\":\"stats\"}"));
   EXPECT_EQ(stats.StringOr("status", ""), "ok");

@@ -5,7 +5,6 @@
 #include <string_view>
 
 #include "dataframe/csv.h"
-#include "core/options.h"
 #include "core/report_io.h"
 #include "discovery/discovery.h"
 #include "simd/simd.h"
@@ -51,13 +50,6 @@ std::string CliUsage() {
       "                   an eager read (out-of-core repository mode; "
       "needs\n"
       "                   --table-cache; results are identical)\n"
-      "  --memory-budget=SIZE  soft per-kernel working-set budget for "
-      "the\n"
-      "                   radix-partitioned join/group-by paths; bytes "
-      "with an\n"
-      "                   optional k/m/g suffix (0 = unbounded single "
-      "pass;\n"
-      "                   results are bit-identical for every value)\n"
       "  --output=FILE    write the augmented table as CSV\n"
       "  --report-json=F  write a machine-readable run report\n"
       "  --canonical-report=F  write only the deterministic report subset\n"
@@ -97,25 +89,19 @@ Result<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
     } else if (const char* v = value_of("--target")) {
       options.target = v;
     } else if (const char* v = value_of("--task")) {
-      options.task = v;
+      options.run.task = v;
     } else if (const char* v = value_of("--selector")) {
-      options.selector = v;
+      options.run.selector = v;
     } else if (const char* v = value_of("--plan")) {
-      options.plan = v;
+      options.run.plan = v;
     } else if (const char* v = value_of("--plan-order")) {
-      options.plan_order = v;
+      options.run.plan_order = v;
     } else if (const char* v = value_of("--soft-join")) {
-      options.soft_join = v;
+      options.run.soft_join = v;
     } else if (const char* v = value_of("--table-cache")) {
       options.table_cache = v;
     } else if (arg == "--mmap-cache") {
       options.mmap_cache = true;
-    } else if (const char* v = value_of("--memory-budget")) {
-      if (!ParseByteSize(v, &options.memory_budget_bytes)) {
-        return Status::InvalidArgument(
-            "bad --memory-budget value: " + std::string(v) +
-            " (want BYTES with optional k/m/g suffix)");
-      }
     } else if (const char* v = value_of("--output")) {
       options.output = v;
     } else if (const char* v = value_of("--report-json")) {
@@ -130,14 +116,14 @@ Result<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
         return Status::InvalidArgument("bad --seed value: " +
                                        std::string(v));
       }
-      options.seed = static_cast<uint64_t>(seed);
+      options.run.seed = static_cast<uint64_t>(seed);
     } else if (const char* v = value_of("--threads")) {
       int64_t threads = 0;
       if (!ParseInt64(v, &threads) || threads < 0) {
         return Status::InvalidArgument("bad --threads value: " +
                                        std::string(v));
       }
-      options.num_threads = static_cast<size_t>(threads);
+      options.run.num_threads = static_cast<size_t>(threads);
     } else if (const char* v = value_of("--simd")) {
       // Spelling is a flag-parse error (exit 2 + usage, like --task);
       // whether the level is available on this CPU is decided in RunCli.
@@ -161,8 +147,8 @@ Result<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
     return Status::InvalidArgument(
         "--data, --base and --target are required (see --help)");
   }
-  if (options.task != "regression" && options.task != "classification") {
-    return Status::InvalidArgument("bad --task: " + options.task);
+  if (!core::ParseTaskType(options.run.task).ok()) {
+    return Status::InvalidArgument("bad --task: " + options.run.task);
   }
   if (options.mmap_cache && options.table_cache.empty()) {
     return Status::InvalidArgument(
@@ -170,22 +156,6 @@ Result<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
         "without a cache directory)");
   }
   return options;
-}
-
-Result<core::ArdaConfig> MakeConfig(const CliOptions& options) {
-  // Delegate to the translation shared with the augmentation service, so
-  // a service request and a CLI run with the same spellings build the
-  // same ArdaConfig (the byte-identity contract depends on this).
-  core::RunOptions run;
-  run.task = options.task;
-  run.selector = options.selector;
-  run.plan = options.plan;
-  run.plan_order = options.plan_order;
-  run.soft_join = options.soft_join;
-  run.seed = options.seed;
-  run.num_threads = options.num_threads;
-  run.memory_budget_bytes = options.memory_budget_bytes;
-  return core::MakeArdaConfig(run);
 }
 
 namespace {
@@ -227,7 +197,8 @@ Status RunCli(const CliOptions& options) {
     log_options.format = options.log_format;
     ARDA_RETURN_IF_ERROR(core::ApplyLogOptions(log_options));
   }
-  ARDA_ASSIGN_OR_RETURN(core::ArdaConfig config, MakeConfig(options));
+  ARDA_ASSIGN_OR_RETURN(core::ArdaConfig config,
+                        core::MakeArdaConfig(options.run));
   // Cooperative Ctrl-C/SIGTERM: the pipeline checks the process interrupt
   // flag at stage boundaries and winds down with a partial report (marked
   // `"interrupted": true`) instead of dying mid-run — so --trace-out and
@@ -256,7 +227,7 @@ Status RunCli(const CliOptions& options) {
   // when --table-cache is set.
   discovery::DataRepository repo;
   discovery::LoadOptions load_options;
-  load_options.csv.num_threads = options.num_threads;
+  load_options.csv.num_threads = options.run.num_threads;
   load_options.map_cache = options.mmap_cache;
   discovery::LoadStats load_stats;
   ARDA_RETURN_IF_ERROR(repo.LoadDirectory(options.data_dir,
@@ -283,9 +254,7 @@ Status RunCli(const CliOptions& options) {
   core::AugmentationTask task;
   task.base = *base;
   task.target_column = options.target;
-  task.task = options.task == "classification"
-                  ? ml::TaskType::kClassification
-                  : ml::TaskType::kRegression;
+  ARDA_ASSIGN_OR_RETURN(task.task, core::ParseTaskType(options.run.task));
   task.repo = &repo;
   task.base_table_name = options.base_table;
   for (const discovery::IngestSkip& fallback : load_stats.fallbacks) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/arda.h"
+#include "core/options.h"
 #include "util/status.h"
 
 namespace arda::tools {
@@ -18,18 +19,12 @@ struct CliOptions {
   std::string base_table;
   /// Target column in the base table.
   std::string target;
-  /// "regression" or "classification".
-  std::string task = "regression";
-  /// Feature selector name (featsel registry).
-  std::string selector = "rifs";
-  /// Join plan: "budget", "table" or "full".
-  std::string plan = "budget";
-  /// Candidate ordering before batching: "cost" (ascending statistical
-  /// Tuple Ratio from the statistics catalog) or "score" (discovery
-  /// order).
-  std::string plan_order = "cost";
-  /// Soft-key method: "2way", "nearest" or "hard".
-  std::string soft_join = "2way";
+  /// Run options shared with the augmentation service (--task,
+  /// --selector, --plan, --plan-order, --soft-join, --seed, --threads),
+  /// translated by core::MakeArdaConfig, so a service request and a CLI
+  /// run with the same spellings build the same ArdaConfig (the
+  /// byte-identity contract depends on this). Defaults live there too.
+  core::RunOptions run;
   /// Directory of binary `.ardac` table caches ("" = caching disabled).
   /// Fresh cache files are loaded instead of re-parsing CSVs; missing or
   /// stale entries are rewritten after the CSV parse. Corrupt cache files
@@ -39,10 +34,6 @@ struct CliOptions {
   /// read (out-of-core repository mode; requires --table-cache). Results
   /// are identical either way.
   bool mmap_cache = false;
-  /// Soft per-kernel working-set budget for the radix-partitioned join /
-  /// group-by paths, in bytes (0 = unbounded single-pass kernels).
-  /// Results are bit-identical for every value.
-  uint64_t memory_budget_bytes = 0;
   /// Output CSV path for the augmented table ("" = don't write).
   std::string output;
   /// Output path for a machine-readable JSON report ("" = don't write).
@@ -55,10 +46,6 @@ struct CliOptions {
   /// Output path for a Chrome/Perfetto trace-event JSON file ("" = tracing
   /// stays disabled). Setting it enables span tracing for the whole run.
   std::string trace_out;
-  uint64_t seed = 42;
-  /// Threads for the parallel pipeline regions: 0 = hardware concurrency,
-  /// 1 = serial. Results are identical for every value.
-  size_t num_threads = 0;
   /// SIMD dispatch level: "auto" (highest supported), "scalar" or "avx2".
   /// Results are bit-identical for every level; overrides the ARDA_SIMD
   /// environment variable.
@@ -75,8 +62,8 @@ struct CliOptions {
 ///   --data=DIR --base=NAME --target=COL [--task=regression|classification]
 ///   [--selector=NAME] [--plan=budget|table|full] [--plan-order=cost|score]
 ///   [--soft-join=2way|nearest|hard] [--table-cache=DIR] [--mmap-cache]
-///   [--memory-budget=SIZE] [--output=FILE] [--report-json=FILE]
-///   [--trace-out=FILE] [--seed=N] [--threads=N]
+///   [--output=FILE] [--report-json=FILE] [--trace-out=FILE] [--seed=N]
+///   [--threads=N]
 ///   [--simd=auto|scalar|avx2] [--log-level=L] [--log-format=text|json]
 ///   [--help]
 /// Fails with InvalidArgument on unknown flags or missing required ones
@@ -85,9 +72,6 @@ Result<CliOptions> ParseCliArgs(const std::vector<std::string>& args);
 
 /// Usage text printed for --help or parse errors.
 std::string CliUsage();
-
-/// Translates parsed options into an ARDA configuration.
-Result<core::ArdaConfig> MakeConfig(const CliOptions& options);
 
 /// Loads the repository, runs the pipeline, prints a human-readable
 /// report to stdout and optionally writes the augmented CSV. Returns the
