@@ -20,10 +20,12 @@
 #include "data/generators.h"
 #include "dataframe/aggregate.h"
 #include "dataframe/csv.h"
+#include "featsel/rifs.h"
 #include "join/geo_join.h"
 #include "join/join_executor.h"
 #include "ml/decision_tree.h"
 #include "ml/random_forest.h"
+#include "ml/sparse_regression.h"
 #include "util/check.h"
 #include "util/string_util.h"
 
@@ -256,6 +258,38 @@ inline std::string GoldenAggregateCsv() {
       df::GroupByAggregate(frame, {"fid", "fcity", "ft"}, options);
   ARDA_CHECK(grouped.ok());
   return df::WriteCsvString(grouped.value());
+}
+
+/// l2,1 sparse-regression fit on GoldenRegressionData, hexfloat: the
+/// final objective, then the per-feature row norms of W. Regression fits
+/// one output column (c=1); classification thresholds the target at 0
+/// and fits the one-hot label matrix (c=2).
+inline std::string GoldenSparseRegression(ml::TaskType task) {
+  ml::Dataset data = GoldenRegressionData();
+  if (task == ml::TaskType::kClassification) {
+    for (double& v : data.y) v = v > 0.0 ? 1.0 : 0.0;
+  }
+  ml::SparseRegressionConfig config;
+  config.task = task;
+  ml::L21SparseRegression model(config);
+  model.Fit(data.x, data.y);
+  std::string out =
+      StrFormat("objective %a\nnorms\n", model.final_objective());
+  for (double v : model.FeatureNorms()) out += StrFormat("%a\n", v);
+  return out;
+}
+
+/// RIFS moment-matched noise (Algorithm 2) on GoldenRegressionData at a
+/// fixed Rng, hexfloat, row-major. Sigma (300 x 300) has rank at most 24,
+/// so the sample goes through the jittered-Cholesky retries.
+inline std::string GoldenMomentNoise() {
+  ml::Dataset data = GoldenRegressionData();
+  Rng rng(13);
+  la::Matrix noise = featsel::MakeNoiseFeatures(
+      data, 6, featsel::NoiseKind::kMomentMatched, &rng);
+  std::string out;
+  for (double v : noise.data()) out += StrFormat("%a\n", v);
+  return out;
 }
 
 }  // namespace arda::golden

@@ -1,9 +1,9 @@
 // Golden-output regression tests for the columnar hot-path kernels.
 //
 // The files under tests/golden/ were serialized from the pre-rewrite
-// (PR 1) row-at-a-time kernels at fixed seeds; the pre-sorted split
-// search and the interned-key join/group-by paths must reproduce them
-// byte for byte, at 1 and at 8 threads. See tools/capture_goldens.cc for
+// row-at-a-time kernels at fixed seeds; the pre-sorted split search, the
+// interned-key join/group-by paths and the transposed RIFS kernels must
+// reproduce them byte for byte, at 1 and at 8 threads. See tools/capture_goldens.cc for
 // how to regenerate them (only on an intentional output change).
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 
 #include "simd/simd.h"
 #include "tests/golden_fixtures.h"
+#include "util/thread_pool.h"
 
 #ifndef ARDA_GOLDEN_DIR
 #error "ARDA_GOLDEN_DIR must be defined by the build"
@@ -78,6 +79,47 @@ TEST(GoldenKernelsTest, AggregateBitIdentical) {
   EXPECT_EQ(golden::GoldenAggregateCsv(), ReadGolden("aggregate.csv"));
 }
 
+// The RIFS kernels: the l2,1 sparse-regression fit at c=1 and c=2 and the
+// moment-matched noise sampler. These goldens were captured from the
+// kernels before their transposed, allocation-free rewrite.
+TEST(GoldenKernelsTest, SparseRegressionBitIdentical) {
+  EXPECT_EQ(golden::GoldenSparseRegression(ml::TaskType::kRegression),
+            ReadGolden("sparse_regression_c1.txt"));
+  EXPECT_EQ(golden::GoldenSparseRegression(ml::TaskType::kClassification),
+            ReadGolden("sparse_regression_c2.txt"));
+}
+
+TEST(GoldenKernelsTest, MomentNoiseBitIdentical) {
+  EXPECT_EQ(golden::GoldenMomentNoise(),
+            ReadGolden("noise_moment_matched.txt"));
+}
+
+// RIFS runs its rounds' fits and noise draws concurrently on the pool;
+// eight at once must each reproduce the single-threaded golden.
+TEST(GoldenKernelsTest, RifsKernelGoldensHoldUnderEightThreads) {
+  const std::string c1 = ReadGolden("sparse_regression_c1.txt");
+  const std::string c2 = ReadGolden("sparse_regression_c2.txt");
+  const std::string noise = ReadGolden("noise_moment_matched.txt");
+  std::vector<std::string> got(8);
+  ParallelFor(got.size(), 8, [&](size_t i) {
+    switch (i % 3) {
+      case 0:
+        got[i] = golden::GoldenSparseRegression(ml::TaskType::kRegression);
+        break;
+      case 1:
+        got[i] =
+            golden::GoldenSparseRegression(ml::TaskType::kClassification);
+        break;
+      default:
+        got[i] = golden::GoldenMomentNoise();
+    }
+  });
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got[i], i % 3 == 0 ? c1 : i % 3 == 1 ? c2 : noise);
+  }
+}
+
 // Every golden must reproduce at every SIMD dispatch level: the vector
 // kernels are bit-identical to their scalar fallbacks by contract (see
 // DESIGN.md "SIMD dispatch"). The avx2 pass is skipped when the CPU lacks
@@ -103,6 +145,12 @@ TEST(GoldenKernelsTest, GoldensAreSimdLevelInvariant) {
     EXPECT_EQ(golden::GoldenSoftJoinCsv(), ReadGolden("join_soft.csv"));
     EXPECT_EQ(golden::GoldenGeoJoinCsv(), ReadGolden("join_geo.csv"));
     EXPECT_EQ(golden::GoldenAggregateCsv(), ReadGolden("aggregate.csv"));
+    EXPECT_EQ(golden::GoldenSparseRegression(ml::TaskType::kRegression),
+              ReadGolden("sparse_regression_c1.txt"));
+    EXPECT_EQ(golden::GoldenSparseRegression(ml::TaskType::kClassification),
+              ReadGolden("sparse_regression_c2.txt"));
+    EXPECT_EQ(golden::GoldenMomentNoise(),
+              ReadGolden("noise_moment_matched.txt"));
     // Thread-count sweep inside the level sweep: the dispatch level and
     // the pool must be independently invariant.
     EXPECT_EQ(golden::GoldenForestPredictions(1),

@@ -1,11 +1,13 @@
 // Writes the golden-output fixtures for tests/golden_kernels_test.cc into
 // the directory given as argv[1] (tests/golden/ in the source tree).
 //
-// The fixtures pin the exact bit-level outputs of the decision-tree and
-// join/group-by kernels at fixed seeds. They were generated from the
-// pre-rewrite (PR 1) row-at-a-time kernels; the columnar kernels must
-// reproduce them byte for byte. Re-run this tool ONLY when an intentional
-// output change is being made, and say so in the PR.
+// The fixtures pin the exact bit-level outputs of the decision-tree,
+// join/group-by and RIFS (sparse-regression fit, moment-matched noise)
+// kernels at fixed seeds. The tree and join files were generated from the
+// row-at-a-time kernels, the RIFS files from the per-evaluation-allocating
+// fit and the strided moments; the rewritten kernels must reproduce them
+// byte for byte. Re-run this tool ONLY when an intentional output change
+// is being made, and say so in the PR.
 
 #include <cstdio>
 #include <string>
@@ -51,5 +53,10 @@ int main(int argc, char** argv) {
   WriteFile(dir, "join_soft.csv", golden::GoldenSoftJoinCsv());
   WriteFile(dir, "join_geo.csv", golden::GoldenGeoJoinCsv());
   WriteFile(dir, "aggregate.csv", golden::GoldenAggregateCsv());
+  WriteFile(dir, "sparse_regression_c1.txt",
+            golden::GoldenSparseRegression(ml::TaskType::kRegression));
+  WriteFile(dir, "sparse_regression_c2.txt",
+            golden::GoldenSparseRegression(ml::TaskType::kClassification));
+  WriteFile(dir, "noise_moment_matched.txt", golden::GoldenMomentNoise());
   return 0;
 }
