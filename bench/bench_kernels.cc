@@ -1,8 +1,9 @@
 // Hot-path kernel benchmarks: single-thread decision-tree fitting on the
-// Table-6 micro config (digits + 10x injected noise) and composite-key
-// hash-join / group-by row throughput. These are the two kernels every
-// ARDA layer bottoms out in (forest ranking, RIFS, join execution), so
-// their single-thread cost gates the whole pipeline.
+// Table-6 micro config (digits + 10x injected noise), composite-key
+// hash-join / group-by row throughput, and the RIFS sparse-regression fit
+// and moment-matched noise. These are the kernels every ARDA layer
+// bottoms out in (forest ranking, RIFS, join execution), so their
+// single-thread cost gates the whole pipeline.
 //
 // Timings are emitted either as an aligned table or, with --json, as a
 // machine-readable record that tools/run_bench.sh archives into
@@ -33,9 +34,11 @@
 #include "dataframe/mapped_columnar.h"
 #include "discovery/discovery.h"
 #include "discovery/repository.h"
+#include "featsel/rifs.h"
 #include "join/join_executor.h"
 #include "ml/decision_tree.h"
 #include "ml/random_forest.h"
+#include "ml/sparse_regression.h"
 #include "simd/aligned.h"
 #include "simd/simd.h"
 #include "util/metrics.h"
@@ -138,6 +141,18 @@ df::DataFrame MakeMixedTable(size_t rows, uint64_t seed) {
   ARDA_CHECK(table.AddColumn(std::move(count)).ok());
   ARDA_CHECK(table.AddColumn(std::move(city)).ok());
   return table;
+}
+
+// FNV-1a over the bit patterns of `values`.
+uint64_t HashDoubles(const std::vector<double>& values) {
+  uint64_t h = 1469598103934665603ULL;
+  for (double v : values) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    h ^= bits;
+    h *= 1099511628211ULL;
+  }
+  return h;
 }
 
 uint64_t HashFrame(const df::DataFrame& frame) {
@@ -569,6 +584,57 @@ std::vector<KernelResult> RunAll(const BenchOptions& options, bool smoke) {
         return h;
       });
     }
+  }
+
+  // --- RIFS kernels at the taxi shape: the l2,1 sparse-regression fit
+  // on the noise-augmented matrix (n=700, d=316) with one output (c=1)
+  // and with a one-hot binary target (c=2), and one round's
+  // moment-matched noise (263 real features, t=53 noise columns). They
+  // run last so they cannot perturb the SIMD pairs' timings. ---
+  {
+    const size_t rows = smoke ? 300 : 700;
+    const size_t real = smoke ? 80 : 263;
+    const size_t noise_cols = smoke ? 16 : 53;
+    const size_t cols = real + noise_cols;
+    Rng rng(options.seed ^ 0x21F5ULL);
+    ml::Dataset data;
+    data.task = ml::TaskType::kRegression;
+    data.x = la::Matrix(rows, real);
+    data.y.resize(rows);
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t c = 0; c < real; ++c) data.x(r, c) = rng.Normal();
+      data.y[r] = data.x(r, 0) - 0.5 * data.x(r, 1) + rng.Normal(0.0, 0.5);
+    }
+    la::Matrix augmented = data.x.HStack(la::Matrix(rows, noise_cols));
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t c = real; c < cols; ++c) augmented(r, c) = rng.Normal();
+    }
+    std::vector<double> labels(rows);
+    for (size_t r = 0; r < rows; ++r) labels[r] = data.y[r] > 0.0 ? 1.0 : 0.0;
+    auto fit = [&](ml::TaskType task, const std::vector<double>& y) {
+      ml::SparseRegressionConfig config;
+      config.task = task;
+      ml::L21SparseRegression model(config);
+      model.Fit(augmented, y);
+      std::vector<double> out = model.FeatureNorms();
+      out.push_back(model.final_objective());
+      return HashDoubles(out);
+    };
+    results.push_back(Measure("sparse_fit_c1", rows * cols, reps, [&] {
+      return fit(ml::TaskType::kRegression, data.y);
+    }));
+    results.push_back(Measure("sparse_fit_c2", rows * cols, reps, [&] {
+      return fit(ml::TaskType::kClassification, labels);
+    }));
+    results.push_back(
+        Measure("noise_moment_matched", rows * real, reps, [&] {
+          Rng noise_rng(options.seed);
+          return HashDoubles(
+              featsel::MakeNoiseFeatures(data, noise_cols,
+                                         featsel::NoiseKind::kMomentMatched,
+                                         &noise_rng)
+                  .data());
+        }));
   }
 
   return results;

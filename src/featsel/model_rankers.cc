@@ -26,12 +26,17 @@ std::vector<double> RandomForestRanker::RankSeeded(const ml::Dataset& data,
 std::vector<double> SparseRegressionRanker::Rank(const ml::Dataset& data,
                                                  Rng* rng) const {
   (void)rng;
+  return Fit(data).FeatureNorms();
+}
+
+ml::L21SparseRegression SparseRegressionRanker::Fit(
+    const ml::Dataset& data) const {
   ml::SparseRegressionConfig config;
   config.task = data.task;
   config.gamma = gamma_;
   ml::L21SparseRegression model(config);
   model.Fit(data.x, data.y);
-  return model.FeatureNorms();
+  return model;
 }
 
 std::vector<double> LassoRanker::Rank(const ml::Dataset& data,

@@ -35,6 +35,10 @@ class SparseRegressionRanker : public FeatureRanker {
   std::string name() const override { return "sparse_regression"; }
   std::vector<double> Rank(const ml::Dataset& data, Rng* rng) const override;
 
+  /// The fitted model Rank reads its norms from, for callers that also
+  /// want the solver's counters.
+  ml::L21SparseRegression Fit(const ml::Dataset& data) const;
+
  private:
   double gamma_;
 };

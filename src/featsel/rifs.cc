@@ -38,11 +38,7 @@ la::Matrix MakeNoiseFeatures(const ml::Dataset& data, size_t count,
       // Algorithm 2: fit N(mu, Sigma) to the empirical feature moments
       // (each feature is an observation in R^n) and sample i.i.d. columns.
       la::FeatureMoments moments = la::ComputeFeatureMoments(data.x);
-      la::Matrix samples =
-          la::SampleMultivariateNormal(moments, count, rng);
-      for (size_t r = 0; r < n; ++r) {
-        for (size_t c = 0; c < count; ++c) noise(r, c) = samples(r, c);
-      }
+      noise = la::SampleMultivariateNormal(moments, count, rng);
       if (permute_moment_noise) {
         // Break target alignment while keeping each column's value
         // distribution (see RifsConfig::permute_moment_noise).
@@ -169,8 +165,13 @@ RifsResult RunRifs(const ml::Dataset& data, const ml::Evaluator& evaluator,
       for (size_t j = 0; j < d + t; ++j) aggregate[j] += config.nu * rf[j];
     }
     if (use_sparse) {
-      std::vector<double> sr =
-          percentile_ranks(sparse_ranker.Rank(augmented, nullptr));
+      ml::L21SparseRegression model = sparse_ranker.Fit(augmented);
+      metrics::ObserveSize("ml.sparse_fit.iterations",
+                           static_cast<double>(model.iterations()));
+      if (!model.converged()) {
+        metrics::IncrementCounter("ml.sparse_fit.capped_total");
+      }
+      std::vector<double> sr = percentile_ranks(model.FeatureNorms());
       for (size_t j = 0; j < d + t; ++j) {
         aggregate[j] += (1.0 - config.nu) * sr[j];
       }

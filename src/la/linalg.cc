@@ -1,5 +1,6 @@
 #include "la/linalg.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/fault.h"
@@ -150,15 +151,23 @@ FeatureMoments ComputeFeatureMoments(const Matrix& x) {
     for (size_t c = 0; c < d; ++c) sum += row[c];
     moments.mean[r] = sum / static_cast<double>(d);
   }
-  for (size_t c = 0; c < d; ++c) {
-    // Accumulate (col - mu)(col - mu)^T.
-    for (size_t i = 0; i < n; ++i) {
-      const double di = x(i, c) - moments.mean[i];
+  // Accumulate sum_c (col_c - mu)(col_c - mu)^T over a centered d x n
+  // transpose, one covariance row at a time: row i stays in cache while
+  // the centered columns stream through it unit-stride. Every entry sums
+  // its terms in ascending c, the order the RIFS noise goldens pin.
+  Matrix centered(d, n);
+  for (size_t r = 0; r < n; ++r) {
+    const double* row = x.RowPtr(r);
+    const double mu = moments.mean[r];
+    for (size_t c = 0; c < d; ++c) centered(c, r) = row[c] - mu;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    double* crow = moments.covariance.RowPtr(i);
+    for (size_t c = 0; c < d; ++c) {
+      const double* col = centered.RowPtr(c);
+      const double di = col[i];
       if (di == 0.0) continue;
-      double* crow = moments.covariance.RowPtr(i);
-      for (size_t j = i; j < n; ++j) {
-        crow[j] += di * (x(j, c) - moments.mean[j]);
-      }
+      for (size_t j = i; j < n; ++j) crow[j] += di * col[j];
     }
   }
   const double inv_d = 1.0 / static_cast<double>(d);
@@ -186,14 +195,22 @@ Matrix SampleMultivariateNormal(const FeatureMoments& moments, size_t count,
   }
   if (chol.ok()) {
     const Matrix& l = chol.value();
-    std::vector<double> z(n);
+    // Draw every z first, sample by sample, coordinate by coordinate (the
+    // stream order callers' seeds depend on), then form mu + L z for all
+    // samples at once: sample s of row i sums l(i,k) z(k,s) onto mu_i in
+    // ascending k, vectorized across s.
+    Matrix z(n, count);
     for (size_t s = 0; s < count; ++s) {
-      for (size_t i = 0; i < n; ++i) z[i] = rng->Normal();
-      for (size_t i = 0; i < n; ++i) {
-        double sum = moments.mean[i];
-        const double* lrow = l.RowPtr(i);
-        for (size_t k = 0; k <= i; ++k) sum += lrow[k] * z[k];
-        samples(i, s) = sum;
+      for (size_t k = 0; k < n; ++k) z(k, s) = rng->Normal();
+    }
+    for (size_t i = 0; i < n; ++i) {
+      double* out = samples.RowPtr(i);
+      std::fill(out, out + count, moments.mean[i]);
+      const double* lrow = l.RowPtr(i);
+      for (size_t k = 0; k <= i; ++k) {
+        const double lik = lrow[k];
+        const double* zrow = z.RowPtr(k);
+        for (size_t s = 0; s < count; ++s) out[s] += lik * zrow[s];
       }
     }
     return samples;

@@ -25,8 +25,10 @@ struct SparseRegressionConfig {
 /// Solver for the paper's sparse-regression ranking objective. The
 /// l2,1-norm over rows of W drives entire features to zero jointly across
 /// outputs, so the per-feature row norms give a noise-robust feature
-/// ranking (Section 6.2). Optimized with smoothed gradient descent and a
-/// diminishing step size on standardized features.
+/// ranking (Section 6.2). Optimized on standardized features by gradient
+/// descent on the eps-smoothed objective, with a backtracking line search
+/// that halves the step until the objective decreases and grows it by
+/// 1.25x after each accepted step.
 ///
 /// For regression Y has one column (the centered target); for
 /// classification Y is the one-hot label matrix, and Predict returns the
@@ -45,6 +47,14 @@ class L21SparseRegression : public Model {
   /// Final value of the smoothed objective after fitting.
   double final_objective() const { return final_objective_; }
 
+  /// Accepted descent steps taken by the last Fit.
+  size_t iterations() const { return iterations_; }
+
+  /// True when the last Fit stopped before `max_iters`: an accepted
+  /// step's relative objective decrease fell under `tolerance`, or no
+  /// step size decreased the objective at all. False when it hit the cap.
+  bool converged() const { return converged_; }
+
  private:
   SparseRegressionConfig config_;
   la::ColumnStats stats_;
@@ -52,6 +62,8 @@ class L21SparseRegression : public Model {
   std::vector<double> output_offsets_;
   size_t num_classes_ = 0;
   double final_objective_ = 0.0;
+  size_t iterations_ = 0;
+  bool converged_ = false;
 };
 
 }  // namespace arda::ml

@@ -65,17 +65,32 @@ Result<int64_t> IntField(const json::Value& request, const char* key,
   return v->AsInt64();
 }
 
+// Reads an optional string member: absent yields `fallback`; present but
+// not a string (1, null, an array) is an error naming the field, never a
+// silent fallback to the default.
+Result<std::string> StringField(const json::Value& request, const char* key,
+                                std::string fallback) {
+  const json::Value* v = request.Find(key);
+  if (v == nullptr) return fallback;
+  if (!v->is_string()) {
+    return Status::InvalidArgument(StrFormat("\"%s\" must be a string", key));
+  }
+  return v->AsString();
+}
+
 // The request fields that determine augmentation results, in their
 // canonical (CLI-equivalent) spelling. `threads` is deliberately not one
 // of them: results are thread-count-invariant, so requests differing only
 // in `threads` share a resident result.
 Result<core::RunOptions> OptionsFromRequest(const json::Value& request) {
   core::RunOptions options;
-  options.task = request.StringOr("task", options.task);
-  options.selector = request.StringOr("selector", options.selector);
-  options.plan = request.StringOr("plan", options.plan);
-  options.plan_order = request.StringOr("plan_order", options.plan_order);
-  options.soft_join = request.StringOr("soft_join", options.soft_join);
+  for (auto [key, field] : {std::pair{"task", &options.task},
+                            {"selector", &options.selector},
+                            {"plan", &options.plan},
+                            {"plan_order", &options.plan_order},
+                            {"soft_join", &options.soft_join}}) {
+    ARDA_ASSIGN_OR_RETURN(*field, StringField(request, key, *field));
+  }
   ARDA_ASSIGN_OR_RETURN(
       const int64_t seed,
       IntField(request, "seed", static_cast<int64_t>(options.seed)));

@@ -7,6 +7,7 @@
 #include "featsel/search.h"
 #include "featsel/selector.h"
 #include "featsel/wrappers.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace arda::featsel {
@@ -45,6 +46,14 @@ size_t CountSignal(const std::vector<size_t>& selected, size_t signal) {
   size_t count = 0;
   for (size_t f : selected) count += f < signal;
   return count;
+}
+
+// Sparse fits RunRifs recorded in the `ml.sparse_fit.iterations` histogram.
+uint64_t RecordedSparseFits() {
+  for (const auto& h : metrics::GlobalRegistry().Snapshot().histograms) {
+    if (h.name == "ml.sparse_fit.iterations") return h.count;
+  }
+  return 0;
 }
 
 TEST(ExponentialSearchTest, SelectsGoodPrefix) {
@@ -178,12 +187,18 @@ TEST(RifsTest, BeatNoiseFractionInUnitRange) {
   RifsConfig config;
   config.num_rounds = 4;
   Rng rng(19);
+  metrics::GlobalRegistry().ResetForTest();
   RifsResult result = RunRifs(data, evaluator, config, &rng);
   for (double f : result.beat_noise_fraction) {
     EXPECT_GE(f, 0.0);
     EXPECT_LE(f, 1.0);
   }
   EXPECT_GT(result.chosen_threshold, 0.0);
+  // One sparse fit per round; the capped ones are a subset of them.
+  EXPECT_EQ(RecordedSparseFits(), 4u);
+  EXPECT_LE(metrics::GlobalRegistry().Snapshot().CounterValue(
+                "ml.sparse_fit.capped_total"),
+            4u);
 }
 
 TEST(RifsTest, AllNoiseInputStillReturnsSomething) {
@@ -206,8 +221,10 @@ TEST(RifsTest, PureForestEnsembleWeight) {
   config.num_rounds = 4;
   config.nu = 1.0;  // RF-only ranking
   Rng rng(22);
+  metrics::GlobalRegistry().ResetForTest();
   RifsResult result = RunRifs(data, evaluator, config, &rng);
   EXPECT_GE(CountSignal(result.selected, 2), 1u);
+  EXPECT_EQ(RecordedSparseFits(), 0u);
 }
 
 // Selector registry sweep.

@@ -269,14 +269,21 @@ TEST(SparseRegressionTest, FeatureNormsFindSignal) {
   }
 }
 
-TEST(SparseRegressionTest, ObjectiveDecreases) {
+// y = x0 - x3 over 80 rows of five standard-normal features.
+void SparseObjectiveData(la::Matrix* x, std::vector<double>* y) {
   Rng rng(17);
-  la::Matrix x(80, 5);
-  std::vector<double> y(80);
+  *x = la::Matrix(80, 5);
+  y->assign(80, 0.0);
   for (size_t i = 0; i < 80; ++i) {
-    for (size_t c = 0; c < 5; ++c) x(i, c) = rng.Normal();
-    y[i] = x(i, 0) - x(i, 3);
+    for (size_t c = 0; c < 5; ++c) (*x)(i, c) = rng.Normal();
+    (*y)[i] = (*x)(i, 0) - (*x)(i, 3);
   }
+}
+
+TEST(SparseRegressionTest, ObjectiveDecreases) {
+  la::Matrix x;
+  std::vector<double> y;
+  SparseObjectiveData(&x, &y);
   SparseRegressionConfig short_run;
   short_run.max_iters = 2;
   L21SparseRegression a(short_run);
@@ -286,6 +293,25 @@ TEST(SparseRegressionTest, ObjectiveDecreases) {
   L21SparseRegression b(long_run);
   b.Fit(x, y);
   EXPECT_LE(b.final_objective(), a.final_objective() + 1e-9);
+}
+
+TEST(SparseRegressionTest, ReportsIterationsAndConvergence) {
+  la::Matrix x;
+  std::vector<double> y;
+  SparseObjectiveData(&x, &y);
+  SparseRegressionConfig capped;
+  capped.max_iters = 2;
+  L21SparseRegression a(capped);
+  a.Fit(x, y);
+  EXPECT_FALSE(a.converged());
+  EXPECT_EQ(a.iterations(), 2u);
+  SparseRegressionConfig long_run;
+  long_run.max_iters = 200;
+  L21SparseRegression b(long_run);
+  b.Fit(x, y);
+  EXPECT_TRUE(b.converged());
+  EXPECT_GT(b.iterations(), 2u);
+  EXPECT_LT(b.iterations(), 200u);
 }
 
 TEST(SparseRegressionTest, ClassificationRanking) {

@@ -263,11 +263,14 @@ TEST(ServiceTest, PingReportsSnapshotAndMalformedRequestsError) {
   json::Value unknown =
       MustParse(server.HandleRequest("{\"type\":\"bogus\"}"));
   EXPECT_EQ(unknown.StringOr("status", ""), "error");
-  // A seed or thread count that is not an exact int64, or a negative
-  // thread count, is an error that names the field.
+  // A seed or thread count that is not an exact int64, a negative thread
+  // count, or an option string of another JSON type is an error that
+  // names the field.
   for (const char* field :
        {"\"seed\":1e300", "\"seed\":9223372036854775808", "\"seed\":1.5",
-        "\"seed\":\"7\"", "\"threads\":2.5", "\"threads\":-1"}) {
+        "\"seed\":\"7\"", "\"threads\":2.5", "\"threads\":-1",
+        "\"task\":1", "\"plan\":null", "\"selector\":[\"rifs\"]",
+        "\"soft_join\":false"}) {
     const std::string text = field;
     json::Value rejected = MustParse(server.HandleRequest(
         "{\"type\":\"augment\",\"base\":\"sales\",\"target\":\"y\"," +

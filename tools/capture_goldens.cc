@@ -7,7 +7,7 @@
 // row-at-a-time kernels, the RIFS files from the per-evaluation-allocating
 // fit and the strided moments; the rewritten kernels must reproduce them
 // byte for byte. Re-run this tool ONLY when an intentional output change
-// is being made, and say so in the PR.
+// is being made, and say so in the commit message.
 
 #include <cstdio>
 #include <string>
