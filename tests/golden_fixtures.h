@@ -23,6 +23,7 @@
 #include "featsel/rifs.h"
 #include "join/geo_join.h"
 #include "join/join_executor.h"
+#include "la/linalg.h"
 #include "ml/decision_tree.h"
 #include "ml/random_forest.h"
 #include "ml/sparse_regression.h"
@@ -89,6 +90,84 @@ inline std::string GoldenForestPredictions(size_t num_threads) {
   out += "importances\n";
   for (double v : forest.feature_importances()) {
     out += StrFormat("%a\n", v);
+  }
+  return out;
+}
+
+/// Regression data for the sampled-feature forest: every column has value
+/// ties that carry different targets (the y tie-break of the split sort:
+/// the targets are not multiples of a power of two, so the order in which
+/// a tie's targets are summed shows in the bits), column 1 mixes -0.0 and
+/// +0.0, column 2 is salted with NaN, column 3 is constant, and a few
+/// targets are -0.0.
+inline ml::Dataset GoldenForestRegressionData() {
+  Rng rng(23);
+  ml::Dataset data;
+  data.task = ml::TaskType::kRegression;
+  const size_t rows = 240, cols = 16;
+  data.x = la::Matrix(rows, cols);
+  data.y.resize(rows);
+  static const double kSignedZeros[] = {-1.0, -0.0, 0.0, 1.0, 2.0};
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      data.x(r, c) = std::round(rng.Normal() * 4.0) / 4.0;
+    }
+    data.x(r, 1) = kSignedZeros[rng.UniformUint64(5)];
+    if (rng.UniformUint64(8) == 0) data.x(r, 2) = std::nan("");
+    data.x(r, 3) = 3.0;
+    data.y[r] = data.x(r, 0) - 0.5 * data.x(r, 1) + 0.25 * data.x(r, 4) +
+                rng.Normal(0.0, 0.3);
+    if (r % 17 == 0) data.y[r] = -0.0;
+  }
+  for (size_t c = 0; c < cols; ++c) {
+    data.feature_names.push_back("f" + std::to_string(c));
+  }
+  return data;
+}
+
+/// Regression forest (sqrt feature sampling) predictions on its training
+/// rows + importances, hexfloat, at the given thread count.
+inline std::string GoldenForestRegression(size_t num_threads) {
+  ml::Dataset data = GoldenForestRegressionData();
+  ml::ForestConfig config;
+  config.task = ml::TaskType::kRegression;
+  config.num_trees = 12;
+  config.max_depth = 10;
+  config.num_threads = num_threads;
+  config.seed = 29;
+  ml::RandomForest forest(config);
+  forest.Fit(data.x, data.y);
+  std::string out;
+  for (double v : forest.Predict(data.x)) out += StrFormat("%a\n", v);
+  out += "importances\n";
+  for (double v : forest.feature_importances()) {
+    out += StrFormat("%a\n", v);
+  }
+  return out;
+}
+
+/// Lower-triangular Cholesky factor, hexfloat row by row, of a full-rank
+/// SPD matrix B B^T + I whose order (67) is not a multiple of 4.
+inline std::string GoldenCholesky() {
+  const size_t n = 67, k = 80;
+  Rng rng(37);
+  la::Matrix b(n, k);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < k; ++j) b(i, j) = rng.Normal();
+  }
+  la::Matrix a(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      double sum = i == j ? 1.0 : 0.0;
+      for (size_t t = 0; t < k; ++t) sum += b(i, t) * b(j, t);
+      a(i, j) = sum;
+    }
+  }
+  Result<la::Matrix> l = la::Cholesky(a);
+  ARDA_CHECK(l.ok());
+  std::string out;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j <= i; ++j) out += StrFormat("%a\n", l.value()(i, j));
   }
   return out;
 }

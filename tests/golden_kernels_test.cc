@@ -63,6 +63,18 @@ TEST(GoldenKernelsTest, ForestPredictionsBitIdenticalEightThreads) {
             ReadGolden("forest_predictions.txt"));
 }
 
+// Regression forest with sqrt feature sampling: pins the (value, y) tie
+// order of the split search, signed zeros, NaN and a constant column.
+TEST(GoldenKernelsTest, ForestRegressionBitIdentical) {
+  const std::string want = ReadGolden("forest_regression.txt");
+  EXPECT_EQ(golden::GoldenForestRegression(1), want);
+  EXPECT_EQ(golden::GoldenForestRegression(4), want);
+}
+
+TEST(GoldenKernelsTest, CholeskyBitIdentical) {
+  EXPECT_EQ(golden::GoldenCholesky(), ReadGolden("cholesky.txt"));
+}
+
 TEST(GoldenKernelsTest, HardJoinBitIdentical) {
   EXPECT_EQ(golden::GoldenHardJoinCsv(), ReadGolden("join_hard.csv"));
 }
@@ -94,15 +106,17 @@ TEST(GoldenKernelsTest, MomentNoiseBitIdentical) {
             ReadGolden("noise_moment_matched.txt"));
 }
 
-// RIFS runs its rounds' fits and noise draws concurrently on the pool;
-// eight at once must each reproduce the single-threaded golden.
+// RIFS runs its rounds' fits, forests and noise draws concurrently on the
+// pool; eight at once must each reproduce the single-threaded golden.
 TEST(GoldenKernelsTest, RifsKernelGoldensHoldUnderEightThreads) {
-  const std::string c1 = ReadGolden("sparse_regression_c1.txt");
-  const std::string c2 = ReadGolden("sparse_regression_c2.txt");
-  const std::string noise = ReadGolden("noise_moment_matched.txt");
-  std::vector<std::string> got(8);
+  const std::vector<std::string> want = {
+      ReadGolden("sparse_regression_c1.txt"),
+      ReadGolden("sparse_regression_c2.txt"),
+      ReadGolden("noise_moment_matched.txt"),
+      ReadGolden("forest_regression.txt"), ReadGolden("cholesky.txt")};
+  std::vector<std::string> got(10);
   ParallelFor(got.size(), 8, [&](size_t i) {
-    switch (i % 3) {
+    switch (i % want.size()) {
       case 0:
         got[i] = golden::GoldenSparseRegression(ml::TaskType::kRegression);
         break;
@@ -110,13 +124,19 @@ TEST(GoldenKernelsTest, RifsKernelGoldensHoldUnderEightThreads) {
         got[i] =
             golden::GoldenSparseRegression(ml::TaskType::kClassification);
         break;
-      default:
+      case 2:
         got[i] = golden::GoldenMomentNoise();
+        break;
+      case 3:
+        got[i] = golden::GoldenForestRegression(2);
+        break;
+      default:
+        got[i] = golden::GoldenCholesky();
     }
   });
   for (size_t i = 0; i < got.size(); ++i) {
     SCOPED_TRACE(i);
-    EXPECT_EQ(got[i], i % 3 == 0 ? c1 : i % 3 == 1 ? c2 : noise);
+    EXPECT_EQ(got[i], want[i % want.size()]);
   }
 }
 
@@ -151,12 +171,17 @@ TEST(GoldenKernelsTest, GoldensAreSimdLevelInvariant) {
               ReadGolden("sparse_regression_c2.txt"));
     EXPECT_EQ(golden::GoldenMomentNoise(),
               ReadGolden("noise_moment_matched.txt"));
+    EXPECT_EQ(golden::GoldenCholesky(), ReadGolden("cholesky.txt"));
     // Thread-count sweep inside the level sweep: the dispatch level and
     // the pool must be independently invariant.
     EXPECT_EQ(golden::GoldenForestPredictions(1),
               ReadGolden("forest_predictions.txt"));
     EXPECT_EQ(golden::GoldenForestPredictions(8),
               ReadGolden("forest_predictions.txt"));
+    EXPECT_EQ(golden::GoldenForestRegression(1),
+              ReadGolden("forest_regression.txt"));
+    EXPECT_EQ(golden::GoldenForestRegression(8),
+              ReadGolden("forest_regression.txt"));
   }
   simd::SetLevel(prev);
 }

@@ -2,11 +2,13 @@
 // the directory given as argv[1] (tests/golden/ in the source tree).
 //
 // The fixtures pin the exact bit-level outputs of the decision-tree,
-// join/group-by and RIFS (sparse-regression fit, moment-matched noise)
-// kernels at fixed seeds. The tree and join files were generated from the
-// row-at-a-time kernels, the RIFS files from the per-evaluation-allocating
-// fit and the strided moments; the rewritten kernels must reproduce them
-// byte for byte. Re-run this tool ONLY when an intentional output change
+// random-forest, join/group-by, RIFS (sparse-regression fit,
+// moment-matched noise) and Cholesky kernels at fixed seeds. The tree and
+// join files were generated from the row-at-a-time kernels, the RIFS files
+// from the per-evaluation-allocating fit and the strided moments, the
+// regression-forest file from the per-node comparison sort over per-tree
+// row copies, and the Cholesky file from the one-row-at-a-time factor; the
+// rewritten kernels must reproduce them byte for byte. Re-run this tool ONLY when an intentional output change
 // is being made, and say so in the commit message.
 
 #include <cstdio>
@@ -58,5 +60,7 @@ int main(int argc, char** argv) {
   WriteFile(dir, "sparse_regression_c2.txt",
             golden::GoldenSparseRegression(ml::TaskType::kClassification));
   WriteFile(dir, "noise_moment_matched.txt", golden::GoldenMomentNoise());
+  WriteFile(dir, "forest_regression.txt", golden::GoldenForestRegression(1));
+  WriteFile(dir, "cholesky.txt", golden::GoldenCholesky());
   return 0;
 }
