@@ -1,7 +1,8 @@
 // Hot-path kernel benchmarks: single-thread decision-tree fitting on the
 // Table-6 micro config (digits + 10x injected noise), composite-key
-// hash-join / group-by row throughput, and the RIFS sparse-regression fit
-// and moment-matched noise. These are the kernels every ARDA layer
+// hash-join / group-by row throughput, and the RIFS kernels: the
+// sparse-regression fit, the moment-matched noise, the ranking forest and
+// the Cholesky factor. These are the kernels every ARDA layer
 // bottoms out in (forest ranking, RIFS, join execution), so their
 // single-thread cost gates the whole pipeline.
 //
@@ -36,6 +37,7 @@
 #include "discovery/repository.h"
 #include "featsel/rifs.h"
 #include "join/join_executor.h"
+#include "la/linalg.h"
 #include "ml/decision_tree.h"
 #include "ml/random_forest.h"
 #include "ml/sparse_regression.h"
@@ -588,9 +590,10 @@ std::vector<KernelResult> RunAll(const BenchOptions& options, bool smoke) {
 
   // --- RIFS kernels at the taxi shape: the l2,1 sparse-regression fit
   // on the noise-augmented matrix (n=700, d=316) with one output (c=1)
-  // and with a one-hot binary target (c=2), and one round's
-  // moment-matched noise (263 real features, t=53 noise columns). They
-  // run last so they cannot perturb the SIMD pairs' timings. ---
+  // and with a one-hot binary target (c=2), one round's moment-matched
+  // noise (263 real features, t=53 noise columns), one round's ranking
+  // forest and the Cholesky factor of an n x n covariance. They run last
+  // so they cannot perturb the SIMD pairs' timings. ---
   {
     const size_t rows = smoke ? 300 : 700;
     const size_t real = smoke ? 80 : 263;
@@ -635,6 +638,50 @@ std::vector<KernelResult> RunAll(const BenchOptions& options, bool smoke) {
                                          &noise_rng)
                   .data());
         }));
+
+    // One RIFS round's forest: the RandomForestRanker configuration (25
+    // trees, depth 10, sqrt(d) features per split) on a 700x379 matrix,
+    // on one thread.
+    const size_t forest_cols = cols + (smoke ? 20 : 63);
+    la::Matrix forest_x =
+        augmented.HStack(la::Matrix(rows, forest_cols - cols));
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t c = cols; c < forest_cols; ++c) {
+        forest_x(r, c) = rng.Normal();
+      }
+    }
+    ml::ForestConfig forest_config;
+    forest_config.num_trees = 25;
+    forest_config.max_depth = 10;
+    forest_config.num_threads = 1;
+    forest_config.seed = options.seed;
+    results.push_back(
+        Measure("forest_fit_rifs", rows * forest_cols, reps, [&] {
+          ml::RandomForest forest(forest_config);
+          forest.Fit(forest_x, data.y);
+          return HashDoubles(forest.feature_importances());
+        }));
+
+    // The factor of a full-rank 700x700 SPD matrix (B B^T / k + I), the
+    // size of the noise covariance Sigma that every RIFS round factors.
+    const size_t k = 64;
+    la::Matrix b(rows, k);
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t c = 0; c < k; ++c) b(r, c) = rng.Normal();
+    }
+    la::Matrix spd(rows, rows);
+    for (size_t i = 0; i < rows; ++i) {
+      for (size_t j = 0; j < rows; ++j) {
+        double sum = 0.0;
+        for (size_t c = 0; c < k; ++c) sum += b(i, c) * b(j, c);
+        spd(i, j) = sum / static_cast<double>(k) + (i == j ? 1.0 : 0.0);
+      }
+    }
+    results.push_back(Measure("cholesky_700", rows * rows, reps, [&] {
+      Result<la::Matrix> l = la::Cholesky(spd);
+      ARDA_CHECK(l.ok());
+      return HashDoubles(l.value().data());
+    }));
   }
 
   return results;

@@ -12,19 +12,62 @@ Result<Matrix> Cholesky(const Matrix& a) {
   ARDA_CHECK_EQ(a.rows(), a.cols());
   const size_t n = a.rows();
   Matrix l(n, n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j <= i; ++j) {
+  // Entries of row i from column `first` through the diagonal, left to
+  // right: l(i, j) = (a(i, j) - sum_{k<j} l(i, k) l(j, k)) / l(j, j), the
+  // sum taken in ascending k. False when the diagonal is not positive.
+  auto finish_row = [&](size_t i, size_t first) {
+    double* li = l.RowPtr(i);
+    for (size_t j = first; j <= i; ++j) {
+      const double* lj = l.RowPtr(j);
       double sum = a(i, j);
-      for (size_t k = 0; k < j; ++k) sum -= l(i, k) * l(j, k);
+      for (size_t k = 0; k < j; ++k) sum -= li[k] * lj[k];
       if (i == j) {
-        if (sum <= 0.0 || !std::isfinite(sum)) {
-          return Status::FailedPrecondition(
-              "matrix is not positive definite");
-        }
-        l(i, j) = std::sqrt(sum);
+        if (sum <= 0.0 || !std::isfinite(sum)) return false;
+        li[j] = std::sqrt(sum);
       } else {
-        l(i, j) = sum / l(j, j);
+        li[j] = sum / lj[j];
       }
+    }
+    return true;
+  };
+  // Rows go in blocks of four. Left of the block, l(i, j) needs only the
+  // finished rows above the block and row i's own entries left of j, so
+  // the four rows' entries of one column are independent: four add
+  // chains run side by side, each in ascending k exactly as finish_row
+  // sums, which keeps every bit. The block's own 4x4 triangle then goes
+  // row by row, so diagonals are still checked in row order.
+  size_t i0 = 0;
+  for (; i0 + 4 <= n; i0 += 4) {
+    double* l0 = l.RowPtr(i0);
+    double* l1 = l.RowPtr(i0 + 1);
+    double* l2 = l.RowPtr(i0 + 2);
+    double* l3 = l.RowPtr(i0 + 3);
+    for (size_t j = 0; j < i0; ++j) {
+      const double* lj = l.RowPtr(j);
+      double s0 = a(i0, j), s1 = a(i0 + 1, j), s2 = a(i0 + 2, j),
+             s3 = a(i0 + 3, j);
+      for (size_t k = 0; k < j; ++k) {
+        const double ljk = lj[k];
+        s0 -= l0[k] * ljk;
+        s1 -= l1[k] * ljk;
+        s2 -= l2[k] * ljk;
+        s3 -= l3[k] * ljk;
+      }
+      const double d = lj[j];
+      l0[j] = s0 / d;
+      l1[j] = s1 / d;
+      l2[j] = s2 / d;
+      l3[j] = s3 / d;
+    }
+    for (size_t i = i0; i < i0 + 4; ++i) {
+      if (!finish_row(i, i0)) {
+        return Status::FailedPrecondition("matrix is not positive definite");
+      }
+    }
+  }
+  for (size_t i = i0; i < n; ++i) {
+    if (!finish_row(i, 0)) {
+      return Status::FailedPrecondition("matrix is not positive definite");
     }
   }
   return l;

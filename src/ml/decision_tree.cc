@@ -8,6 +8,7 @@
 #include "simd/simd.h"
 #include "util/check.h"
 #include "util/metrics.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 #include "util/trace.h"
 
@@ -22,7 +23,7 @@ namespace {
 // unaffected by that tie order. Every NaN maps to the single largest key,
 // defining the tree-wide NaN ordering: NaN sorts after +inf and all NaNs
 // are equal (raw bit-pattern ordering would scatter negative-sign NaNs
-// below -inf, diverging from the per-node comparison sort).
+// below -inf, diverging from the comparison sort's NanAwareLess).
 uint64_t OrderedBits(double d) {
   if (std::isnan(d)) return ~0ull;
   uint64_t b;
@@ -33,8 +34,8 @@ uint64_t OrderedBits(double d) {
 // The comparison-sort side of the same ordering: a strict weak order that
 // matches operator< on non-NaN values and places NaN last, all NaNs tied.
 // (Plain operator< is not a strict weak order once NaN appears, so the
-// per-node std::sort would otherwise be undefined and could disagree with
-// the radix presort.)
+// regression presort's std::sort would otherwise be undefined and could
+// disagree with the radix sorts.)
 bool NanAwareLess(double a, double b) {
   if (std::isnan(a) || std::isnan(b)) return !std::isnan(a);
   return a < b;
@@ -78,10 +79,16 @@ void RadixSortByKey(std::vector<std::pair<uint64_t, uint32_t>>* a,
   if (src != a) a->swap(*tmp);
 }
 
-// Counts per integer class label; labels are assumed in [0, num_classes).
-size_t NumClassesIn(const std::vector<double>& y) {
+// Key of the ranked mode's order: OrderedBits with -0.0 folded onto +0.0,
+// so equal keys are exactly the values SameValue calls equal.
+uint64_t RankKey(double d) { return OrderedBits(d == 0.0 ? 0.0 : d); }
+
+// Counts per integer class label over the fitted rows; labels are assumed
+// in [0, num_classes).
+size_t NumClassesIn(const std::vector<double>& y,
+                    const std::vector<uint32_t>& rows) {
   double max_label = 0.0;
-  for (double v : y) max_label = std::max(max_label, v);
+  for (uint32_t r : rows) max_label = std::max(max_label, y[r]);
   return static_cast<size_t>(std::lround(max_label)) + 1;
 }
 
@@ -94,6 +101,62 @@ double GiniTimesCount(const std::vector<double>& counts, double total) {
 
 }  // namespace
 
+RankedColumns::RankedColumns(const la::Matrix& x,
+                             const std::vector<double>& y,
+                             size_t num_threads)
+    : rows(x.rows()),
+      cols(x.cols()),
+      rank(rows * cols),
+      num_ranks(cols),
+      entries(rows * cols) {
+  ARDA_CHECK_EQ(rows, y.size());
+  ARDA_CHECK_LT(rows, static_cast<size_t>(UINT32_MAX));
+  // Rows in target order, once: a stable sort by value over this order
+  // leaves every column sorted by (value, target).
+  std::vector<uint64_t> target_keys(rows);
+  std::vector<std::pair<uint64_t, uint32_t>> by_target(rows), radix_tmp;
+  for (size_t i = 0; i < rows; ++i) {
+    target_keys[i] = RankKey(y[i]);
+    by_target[i] = {target_keys[i], static_cast<uint32_t>(i)};
+  }
+  RadixSortByKey(&by_target, &radix_tmp);
+  // One task per block of 8 columns: the block's values are copied out of
+  // the row-major matrix together, one cache line per row.
+  constexpr size_t kBlock = 8;
+  ParallelFor((cols + kBlock - 1) / kBlock, num_threads, [&](size_t block) {
+    const size_t f0 = block * kBlock;
+    const size_t width = std::min(kBlock, cols - f0);
+    std::vector<double> values(width * rows);
+    for (size_t row = 0; row < rows; ++row) {
+      const double* src = x.RowPtr(row) + f0;
+      for (size_t c = 0; c < width; ++c) values[c * rows + row] = src[c];
+    }
+    std::vector<std::pair<uint64_t, uint32_t>> keys(rows), tmp;
+    for (size_t c = 0; c < width; ++c) {
+      const double* col = values.data() + c * rows;
+      for (size_t i = 0; i < rows; ++i) {
+        const uint32_t row = by_target[i].second;
+        keys[i] = {RankKey(col[row]), row};
+      }
+      RadixSortByKey(&keys, &tmp);
+      const size_t f = f0 + c;
+      uint32_t* col_rank = rank.data() + f * rows;
+      Entry* col_entries = entries.data() + f * rows;
+      uint32_t r = 0;
+      for (size_t i = 0; i < rows; ++i) {
+        const uint32_t row = keys[i].second;
+        if (i > 0 && (keys[i].first != keys[i - 1].first ||
+                      target_keys[row] != target_keys[keys[i - 1].second])) {
+          ++r;
+        }
+        col_entries[r] = {col[row], y[row]};
+        col_rank[row] = r;
+      }
+      num_ranks[f] = r + 1;
+    }
+  });
+}
+
 DecisionTree::DecisionTree(const TreeConfig& config) : config_(config) {}
 
 void DecisionTree::Fit(const la::Matrix& x, const std::vector<double>& y) {
@@ -101,12 +164,23 @@ void DecisionTree::Fit(const la::Matrix& x, const std::vector<double>& y) {
   Stopwatch fit_watch;
   ARDA_CHECK_EQ(x.rows(), y.size());
   ARDA_CHECK_GT(x.rows(), 0u);
-  nodes_.clear();
-  num_features_ = x.cols();
-  importances_.assign(num_features_, 0.0);
   const size_t n = x.rows();
-  num_rows_ = n;
   ARDA_CHECK_LT(n, static_cast<size_t>(UINT32_MAX));
+  std::vector<uint32_t> rows(n);
+  for (size_t i = 0; i < n; ++i) rows[i] = static_cast<uint32_t>(i);
+
+  // Pre-sorting every feature pays off exactly when every feature is a
+  // split candidate at every node; with per-node feature subsampling the
+  // O(F n log n) sort per tree would outweigh the scan savings on the
+  // sampled sqrt(F) features, so that case ranks the rows instead.
+  if (config_.max_features != 0 && config_.max_features < x.cols()) {
+    const RankedColumns ranks(x, y, 1);
+    ranks_ = &ranks;
+    BeginFit(n, x.cols(), y, rows);
+    Grow(y, std::move(rows), fit_watch);
+    return;
+  }
+  BeginFit(n, x.cols(), y, rows);
 
   // Column-major working copy: every split-search access from here on
   // touches one contiguous feature column.
@@ -120,80 +194,110 @@ void DecisionTree::Fit(const la::Matrix& x, const std::vector<double>& y) {
     }
   }
 
-  num_classes_ =
-      config_.task == TaskType::kClassification ? NumClassesIn(y) : 0;
+  feat_order_.resize(num_features_ * n);
+  if (num_classes_ > 0) {
+    // Class counts are additive, so the scan result does not depend on
+    // the order of rows within an equal-value run; (value, row) is
+    // enough and a stable radix sort on the order-preserving bit pattern
+    // reproduces it without comparisons.
+    std::vector<std::pair<uint64_t, uint32_t>> keys(n), radix_tmp;
+    for (size_t f = 0; f < num_features_; ++f) {
+      const double* col = columns_.data() + f * n;
+      for (size_t i = 0; i < n; ++i) {
+        keys[i] = {OrderedBits(col[i]), static_cast<uint32_t>(i)};
+      }
+      RadixSortByKey(&keys, &radix_tmp);
+      uint32_t* slice = feat_order_.data() + f * n;
+      for (size_t i = 0; i < n; ++i) slice[i] = keys[i].second;
+    }
+  } else {
+    // Regression sums targets in scan order, so ties must be ordered by
+    // target to reproduce the (value, y) pair order of the ranked mode
+    // bit for bit; the row id makes the permutation unique.
+    struct SortKey {
+      double v;
+      double y;
+      uint32_t row;
+    };
+    std::vector<SortKey> keys(n);
+    for (size_t f = 0; f < num_features_; ++f) {
+      const double* col = columns_.data() + f * n;
+      for (size_t i = 0; i < n; ++i) {
+        keys[i] = {col[i], y[i], static_cast<uint32_t>(i)};
+      }
+      std::sort(keys.begin(), keys.end(),
+                [](const SortKey& a, const SortKey& b) {
+                  if (NanAwareLess(a.v, b.v)) return true;
+                  if (NanAwareLess(b.v, a.v)) return false;
+                  if (NanAwareLess(a.y, b.y)) return true;
+                  if (NanAwareLess(b.y, a.y)) return false;
+                  return a.row < b.row;
+                });
+      uint32_t* slice = feat_order_.data() + f * n;
+      for (size_t i = 0; i < n; ++i) slice[i] = keys[i].row;
+    }
+  }
+  part_tmp_.resize(n);
+  left_mask_.assign(n, 0);
+  Grow(y, std::move(rows), fit_watch);
+}
+
+void DecisionTree::Fit(const RankedColumns& ranks,
+                       const std::vector<double>& y,
+                       const std::vector<size_t>& rows) {
+  trace::TraceSpan fit_span("tree.fit", "ml");
+  Stopwatch fit_watch;
+  ARDA_CHECK_EQ(ranks.rows, y.size());
+  ARDA_CHECK_GT(rows.size(), 0u);
+  std::vector<uint32_t> ids(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ARDA_CHECK_LT(rows[i], ranks.rows);
+    ids[i] = static_cast<uint32_t>(rows[i]);
+  }
+  ranks_ = &ranks;
+  BeginFit(ranks.rows, ranks.cols, y, ids);
+  Grow(y, std::move(ids), fit_watch);
+}
+
+void DecisionTree::BeginFit(size_t num_rows, size_t num_features,
+                            const std::vector<double>& y,
+                            const std::vector<uint32_t>& rows) {
+  nodes_.clear();
+  num_features_ = num_features;
+  importances_.assign(num_features_, 0.0);
+  num_rows_ = num_rows;
+  sample_features_ = ranks_ != nullptr && config_.max_features != 0 &&
+                     config_.max_features < num_features_;
+  num_classes_ = config_.task == TaskType::kClassification
+                     ? NumClassesIn(y, rows)
+                     : 0;
   if (num_classes_ > 0) {
     class_counts_.resize(num_classes_);
     left_counts_.resize(num_classes_);
-    labels_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      labels_[i] = static_cast<uint32_t>(std::lround(y[i]));
+    labels_.resize(num_rows);
+    for (uint32_t r : rows) {
+      labels_[r] = static_cast<uint32_t>(std::lround(y[r]));
     }
-    labs_.resize(n);
+    labs_.resize(rows.size());
   }
-  vals_.resize(n);
-  ys_.resize(n);
-
-  // Pre-sorting every feature pays off exactly when every feature is a
-  // split candidate at every node; with per-node feature subsampling the
-  // O(F n log n) sort would outweigh the scan savings on the sampled
-  // sqrt(F) features, so that case keeps the per-node sort.
-  presorted_ =
-      config_.max_features == 0 || config_.max_features >= num_features_;
-  if (presorted_) {
-    feat_order_.resize(num_features_ * n);
-    if (num_classes_ > 0) {
-      // Class counts are additive, so the scan result does not depend on
-      // the order of rows within an equal-value run; (value, row) is
-      // enough and a stable radix sort on the order-preserving bit pattern
-      // reproduces it without comparisons.
-      std::vector<std::pair<uint64_t, uint32_t>> keys(n), radix_tmp;
-      for (size_t f = 0; f < num_features_; ++f) {
-        const double* col = columns_.data() + f * n;
-        for (size_t i = 0; i < n; ++i) {
-          keys[i] = {OrderedBits(col[i]), static_cast<uint32_t>(i)};
-        }
-        RadixSortByKey(&keys, &radix_tmp);
-        uint32_t* slice = feat_order_.data() + f * n;
-        for (size_t i = 0; i < n; ++i) slice[i] = keys[i].second;
-      }
-    } else {
-      // Regression sums targets in scan order, so ties must be ordered by
-      // target to reproduce the (value, y) pair sort of the per-node mode
-      // bit for bit; the row id makes the permutation unique.
-      struct SortKey {
-        double v;
-        double y;
-        uint32_t row;
-      };
-      std::vector<SortKey> keys(n);
-      for (size_t f = 0; f < num_features_; ++f) {
-        const double* col = columns_.data() + f * n;
-        for (size_t i = 0; i < n; ++i) {
-          keys[i] = {col[i], y[i], static_cast<uint32_t>(i)};
-        }
-        std::sort(keys.begin(), keys.end(),
-                  [](const SortKey& a, const SortKey& b) {
-                    if (NanAwareLess(a.v, b.v)) return true;
-                    if (NanAwareLess(b.v, a.v)) return false;
-                    if (NanAwareLess(a.y, b.y)) return true;
-                    if (NanAwareLess(b.y, a.y)) return false;
-                    return a.row < b.row;
-                  });
-        uint32_t* slice = feat_order_.data() + f * n;
-        for (size_t i = 0; i < n; ++i) slice[i] = keys[i].row;
-      }
-    }
-    part_tmp_.resize(n);
-    left_mask_.assign(n, 0);
+  vals_.resize(rows.size());
+  ys_.resize(rows.size());
+  if (ranks_ != nullptr) {
+    rank_buf_.resize(rows.size());
+    rank_count_.assign(num_rows, 0);
   }
+}
 
-  std::vector<size_t> indices(n);
-  for (size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+void DecisionTree::Grow(const std::vector<double>& y,
+                        std::vector<uint32_t> rows,
+                        const Stopwatch& fit_watch) {
   Rng rng(config_.seed);
-  BuildNode(x, y, &indices, 0, indices.size(), 0, &rng);
+  BuildNode(y, &rows, 0, rows.size(), 0, &rng);
 
   // Release fit-time scratch.
+  ranks_ = nullptr;
+  rank_buf_ = {};
+  rank_count_ = {};
   columns_ = {};
   labels_ = {};
   feat_order_ = {};
@@ -204,7 +308,6 @@ void DecisionTree::Fit(const la::Matrix& x, const std::vector<double>& y) {
   labs_ = {};
   class_counts_ = {};
   left_counts_ = {};
-  sort_buf_ = {};
 
   double total = 0.0;
   for (double v : importances_) total += v;
@@ -219,6 +322,12 @@ void DecisionTree::Fit(const la::Matrix& x, const std::vector<double>& y) {
       metrics::GlobalRegistry().GetHistogram(
           "ml.tree_fit_seconds", metrics::LatencyBucketsSeconds());
   fit_hist.Observe(fit_watch.ElapsedSeconds());
+}
+
+double DecisionTree::ValueAt(size_t f, uint32_t row) const {
+  const size_t n = num_rows_;
+  if (ranks_ == nullptr) return columns_[f * n + row];
+  return ranks_->entries[f * n + ranks_->rank[f * n + row]].value;
 }
 
 void DecisionTree::ScanThresholds(size_t count, size_t feature,
@@ -304,8 +413,8 @@ void DecisionTree::ScanThresholds(size_t count, size_t feature,
   }
 }
 
-int DecisionTree::BuildNode(const la::Matrix& x, const std::vector<double>& y,
-                            std::vector<size_t>* indices, size_t begin,
+int DecisionTree::BuildNode(const std::vector<double>& y,
+                            std::vector<uint32_t>* indices, size_t begin,
                             size_t end, size_t depth, Rng* rng) {
   const size_t count = end - begin;
   ARDA_CHECK_GT(count, 0u);
@@ -348,8 +457,9 @@ int DecisionTree::BuildNode(const la::Matrix& x, const std::vector<double>& y,
   }
 
   // Feature subset for this node (pre-sorted mode always scans all).
+  const bool presorted = ranks_ == nullptr;
   std::vector<size_t> sampled;
-  if (!presorted_) {
+  if (sample_features_) {
     sampled = rng->SampleWithoutReplacement(num_features_,
                                             config_.max_features);
   }
@@ -358,11 +468,12 @@ int DecisionTree::BuildNode(const la::Matrix& x, const std::vector<double>& y,
   double best_gain = config_.min_impurity_decrease;
   size_t best_feature = 0;
   double best_threshold = 0.0;
-  const size_t num_candidates = presorted_ ? num_features_ : sampled.size();
+  const size_t num_candidates =
+      sample_features_ ? sampled.size() : num_features_;
   for (size_t fi = 0; fi < num_candidates; ++fi) {
-    const size_t f = presorted_ ? fi : sampled[fi];
-    const double* col = columns_.data() + f * n;
-    if (presorted_) {
+    const size_t f = sample_features_ ? sampled[fi] : fi;
+    if (presorted) {
+      const double* col = columns_.data() + f * n;
       const uint32_t* slice = feat_order_.data() + f * n + begin;
       if (SameValue(col[slice[0]], col[slice[count - 1]])) continue;
       if (classification) {
@@ -417,27 +528,46 @@ int DecisionTree::BuildNode(const la::Matrix& x, const std::vector<double>& y,
                                 ys_.data());
       }
     } else {
-      sort_buf_.resize(count);
-      for (size_t i = 0; i < count; ++i) {
-        size_t row = (*indices)[begin + i];
-        sort_buf_[i] = {col[row], y[row]};
+      // Sorting the rows' integer ranks yields the (value, y) order of
+      // their pairs; the rank tables hand back the pairs themselves.
+      const uint32_t* col_rank = ranks_->rank.data() + f * n;
+      const RankedColumns::Entry* entries = ranks_->entries.data() + f * n;
+      uint32_t* ranks = rank_buf_.data();
+      const uint32_t num_ranks = ranks_->num_ranks[f];
+      if (count * 16 >= num_ranks) {
+        // Counting sort over the column's ranks: cheaper than a
+        // comparison sort unless the node holds few of them (measured
+        // on 700 x 379 at ratios 2 to 64: 16 and 32 were fastest).
+        uint32_t* hist = rank_count_.data();
+        for (size_t i = begin; i < end; ++i) {
+          ++hist[col_rank[(*indices)[i]]];
+        }
+        size_t out = 0;
+        for (uint32_t r = 0; r < num_ranks; ++r) {
+          for (uint32_t c = hist[r]; c > 0; --c) ranks[out++] = r;
+          hist[r] = 0;
+        }
+      } else {
+        for (size_t i = 0; i < count; ++i) {
+          ranks[i] = col_rank[(*indices)[begin + i]];
+        }
+        std::sort(ranks, ranks + count);
       }
-      std::sort(sort_buf_.begin(), sort_buf_.end(),
-                [](const std::pair<double, double>& a,
-                   const std::pair<double, double>& b) {
-                  if (NanAwareLess(a.first, b.first)) return true;
-                  if (NanAwareLess(b.first, a.first)) return false;
-                  return NanAwareLess(a.second, b.second);
-                });
-      if (SameValue(sort_buf_.front().first, sort_buf_.back().first)) {
+      if (SameValue(entries[ranks[0]].value,
+                    entries[ranks[count - 1]].value)) {
         continue;  // constant feature (an all-NaN column counts)
       }
-      for (size_t i = 0; i < count; ++i) {
-        vals_[i] = sort_buf_[i].first;
-        if (classification) {
-          labs_[i] = static_cast<uint32_t>(std::lround(sort_buf_[i].second));
-        } else {
-          ys_[i] = sort_buf_[i].second;
+      if (classification) {
+        for (size_t i = 0; i < count; ++i) {
+          const RankedColumns::Entry& e = entries[ranks[i]];
+          vals_[i] = e.value;
+          labs_[i] = static_cast<uint32_t>(std::lround(e.target));
+        }
+      } else {
+        for (size_t i = 0; i < count; ++i) {
+          const RankedColumns::Entry& e = entries[ranks[i]];
+          vals_[i] = e.value;
+          ys_[i] = e.target;
         }
       }
     }
@@ -450,17 +580,18 @@ int DecisionTree::BuildNode(const la::Matrix& x, const std::vector<double>& y,
   }
 
   // Partition index range by the chosen split.
-  const double* best_col = columns_.data() + best_feature * n;
   auto middle = std::partition(
       indices->begin() + static_cast<ptrdiff_t>(begin),
       indices->begin() + static_cast<ptrdiff_t>(end),
-      [&](size_t row) { return best_col[row] <= best_threshold; });
+      [&](uint32_t row) {
+        return ValueAt(best_feature, row) <= best_threshold;
+      });
   size_t mid = static_cast<size_t>(middle - indices->begin());
   if (mid == begin || mid == end) {
     return node_id;  // numerically degenerate split
   }
 
-  if (presorted_) {
+  if (presorted) {
     // Stable-partition every feature's slice so both children stay sorted.
     for (size_t i = begin; i < mid; ++i) left_mask_[(*indices)[i]] = 1;
     for (size_t i = mid; i < end; ++i) left_mask_[(*indices)[i]] = 0;
@@ -489,8 +620,8 @@ int DecisionTree::BuildNode(const la::Matrix& x, const std::vector<double>& y,
   nodes_[node_id].is_leaf = false;
   nodes_[node_id].feature = best_feature;
   nodes_[node_id].threshold = best_threshold;
-  int left = BuildNode(x, y, indices, begin, mid, depth + 1, rng);
-  int right = BuildNode(x, y, indices, mid, end, depth + 1, rng);
+  int left = BuildNode(y, indices, begin, mid, depth + 1, rng);
+  int right = BuildNode(y, indices, mid, end, depth + 1, rng);
   nodes_[node_id].left = left;
   nodes_[node_id].right = right;
   return node_id;

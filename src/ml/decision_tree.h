@@ -8,6 +8,7 @@
 #include "ml/model.h"
 #include "simd/aligned.h"
 #include "util/rng.h"
+#include "util/timer.h"
 
 namespace arda::ml {
 
@@ -25,6 +26,39 @@ struct TreeConfig {
   uint64_t seed = 7;
 };
 
+/// Read-only rank encoding of a training matrix and its targets for the
+/// ranked split search, built once per forest and shared by every tree.
+///
+/// Within each column, rows are ordered by the pair (x(row, f), y[row]):
+/// value first, then target, each in the split search's order (numeric
+/// order with -0.0 == +0.0, every NaN after +inf and all NaNs equal).
+/// Equal pairs share one dense rank, so sorting a node's ranks as integers
+/// reproduces the (value, y) sequence of a comparison sort of its pairs.
+struct RankedColumns {
+  struct Entry {
+    double value;
+    double target;
+  };
+
+  /// Encodes every column of `x`, one ParallelFor task per block of
+  /// columns at `num_threads` (each column's result is independent of
+  /// the others, so the encoding is the same for any thread count).
+  RankedColumns(const la::Matrix& x, const std::vector<double>& y,
+                size_t num_threads);
+
+  size_t rows = 0;
+  size_t cols = 0;
+  /// rank[f * rows + row]: the dense rank of row's pair within column f.
+  std::vector<uint32_t> rank;
+  /// num_ranks[f]: the number of distinct pairs in column f.
+  std::vector<uint32_t> num_ranks;
+  /// entries[f * rows + r]: the (value, target) pair of rank r in column
+  /// f. Of a group of equal pairs one member is kept; a group may mix
+  /// -0.0 with +0.0 or differing NaN payloads, which the scan and the
+  /// partition cannot tell apart.
+  std::vector<Entry> entries;
+};
+
 /// CART decision tree: variance reduction for regression, Gini for
 /// classification. Supports per-node feature subsampling and exposes
 /// impurity-based feature importances (both needed by the random forest
@@ -32,22 +66,34 @@ struct TreeConfig {
 ///
 /// Split search runs in one of two modes with bit-identical results (see
 /// DESIGN.md "Columnar split search"):
-///  - pre-sorted (every feature is a candidate at every node, the single
-///    tree / gradient-boosting case): each feature's rows are sorted once
-///    per tree, and every node scans its contiguous slice of the sorted
-///    index in O(n) after an O(n) stable partition per split;
-///  - per-node sort (random-forest feature subsampling): the classic
-///    gather-and-sort over only the sampled features.
+///  - pre-sorted (`Fit(x, y)` with every feature a candidate at every
+///    node, the single tree / gradient-boosting case): each feature's rows
+///    are sorted once per tree, and every node scans its contiguous slice
+///    of the sorted index in O(n) after an O(n) stable partition per split;
+///  - ranked (random-forest feature subsampling, and every tree fitted on
+///    a `RankedColumns`): each node gathers the integer ranks of its rows
+///    for each candidate feature, sorts them, and reads the (value, y)
+///    sequence back through the rank tables.
 ///
-/// NaN feature values are ordered identically in both modes: every NaN
-/// sorts after +inf and all NaNs compare equal, thresholds are never
-/// placed on a non-finite midpoint, and NaN rows always fall to the right
-/// child (x <= threshold is false), in Fit and Predict alike.
+/// Both modes consume the exact value/target sequence of a comparison sort
+/// of the node's (value, y) pairs: tied pairs are equal, so their order
+/// cannot matter; the scan tests only == between neighbours and takes
+/// midpoints of unequal ones, and x + (+-0.0) == x, so which zero a rank
+/// maps back to cannot move a threshold; NaN sorts last and a non-finite
+/// midpoint is never a threshold. NaN rows always fall to the right child
+/// (x <= threshold is false), in Fit and Predict alike.
 class DecisionTree : public Model {
  public:
   explicit DecisionTree(const TreeConfig& config);
 
   void Fit(const la::Matrix& x, const std::vector<double>& y) override;
+
+  /// Fits on `rows` (repeats allowed, e.g. a bootstrap sample) of the
+  /// matrix that `ranks` encodes, with `y` its full target vector, in the
+  /// ranked mode. Equivalent, bit for bit, to `Fit` on the selected rows.
+  void Fit(const RankedColumns& ranks, const std::vector<double>& y,
+           const std::vector<size_t>& rows);
+
   std::vector<double> Predict(const la::Matrix& x) const override;
 
   /// Total impurity decrease attributed to each feature during Fit,
@@ -75,9 +121,21 @@ class DecisionTree : public Model {
     int right = -1;
   };
 
-  int BuildNode(const la::Matrix& x, const std::vector<double>& y,
-                std::vector<size_t>* indices, size_t begin, size_t end,
-                size_t depth, Rng* rng);
+  /// Resets the model and the shared fit-time state for a fit on `rows`
+  /// of a num_rows x num_features matrix.
+  void BeginFit(size_t num_rows, size_t num_features,
+                const std::vector<double>& y,
+                const std::vector<uint32_t>& rows);
+  /// Grows the tree from the root over `rows`, releases the fit-time
+  /// state, normalizes the importances and records the fit time.
+  void Grow(const std::vector<double>& y, std::vector<uint32_t> rows,
+            const Stopwatch& fit_watch);
+
+  int BuildNode(const std::vector<double>& y, std::vector<uint32_t>* indices,
+                size_t begin, size_t end, size_t depth, Rng* rng);
+
+  /// Feature f's value at training row `row`.
+  double ValueAt(size_t f, uint32_t row) const;
 
   /// Scans the candidate thresholds of one feature whose node rows have
   /// been gathered, in ascending (value, y) order, into vals_/ys_[0,count).
@@ -93,12 +151,17 @@ class DecisionTree : public Model {
 
   // --- Fit-time state (released when Fit returns). ---
   size_t num_classes_ = 0;  // classification only; hoisted out of BuildNode
-  bool presorted_ = false;
   size_t num_rows_ = 0;
-  /// Column-major copy of the training matrix: feature f's values live in
-  /// [f * n, (f+1) * n), so split-search gathers stay inside one cache-hot
-  /// column instead of striding across rows. 64-byte aligned: the SIMD
-  /// gather/scan kernels read these with full-width loads.
+  /// Ranked mode: the shared encoding (null in pre-sorted mode), and
+  /// whether each node draws max_features candidates or scans them all.
+  const RankedColumns* ranks_ = nullptr;
+  bool sample_features_ = false;
+  std::vector<uint32_t> rank_buf_;   // sorted ranks, one node/feature
+  std::vector<uint32_t> rank_count_; // counting-sort histogram, all zero
+  /// Pre-sorted mode: column-major copy of the training matrix, feature
+  /// f's values in [f * n, (f+1) * n), so split-search gathers stay inside
+  /// one cache-hot column. 64-byte aligned: the SIMD gather kernel reads
+  /// it with full-width loads.
   simd::AlignedVector<double> columns_;
   std::vector<uint32_t> labels_;     // lround(y), classification only
   /// Pre-sorted mode: feature-major [f * n, (f+1) * n) row ids, each
@@ -112,7 +175,6 @@ class DecisionTree : public Model {
   std::vector<uint32_t> labs_;       // gathered labels, one node
   std::vector<double> class_counts_; // node label histogram
   std::vector<double> left_counts_;  // running left label histogram
-  std::vector<std::pair<double, double>> sort_buf_;  // per-node sort mode
 };
 
 }  // namespace arda::ml

@@ -54,12 +54,11 @@ void RandomForest::Fit(const la::Matrix& x, const std::vector<double>& y) {
     trees_.emplace_back(tree_config);
   }
 
+  // One read-only rank encoding of (x, y) serves every tree: each fits on
+  // its bootstrap row list without copying or re-sorting X.
+  const RankedColumns ranks(x, y, config_.num_threads);
   ParallelFor(config_.num_trees, config_.num_threads, [&](size_t t) {
-    const std::vector<size_t>& rows = bootstrap_rows[t];
-    la::Matrix xb = x.SelectRows(rows);
-    std::vector<double> yb(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) yb[i] = y[rows[i]];
-    trees_[t].Fit(xb, yb);
+    trees_[t].Fit(ranks, y, bootstrap_rows[t]);
   });
 
   // Ordered reduction: accumulate importances in tree order, exactly as

@@ -1,9 +1,10 @@
 // Golden-output regression tests for the columnar hot-path kernels.
 //
 // The files under tests/golden/ were serialized from the pre-rewrite
-// row-at-a-time kernels at fixed seeds; the pre-sorted split search, the
-// interned-key join/group-by paths and the transposed RIFS kernels must
-// reproduce them byte for byte, at 1 and at 8 threads. See tools/capture_goldens.cc for
+// row-at-a-time kernels at fixed seeds; the pre-sorted and ranked split
+// searches, the interned-key join/group-by paths, the transposed RIFS
+// kernels and the row-blocked Cholesky factor must reproduce them byte for
+// byte, at 1 and at 8 threads. See tools/capture_goldens.cc for
 // how to regenerate them (only on an intentional output change).
 
 #include <gtest/gtest.h>

@@ -423,6 +423,49 @@ TEST(DecisionTreeNanTest, PresortAndPerNodeSortAgreeOnNanOrdering) {
   }
 }
 
+// A tree fitted on a bootstrap row list through a shared RankedColumns
+// must be the tree fitted on a copy of those rows, for either task, with
+// every feature a candidate (pre-sorted copy vs ranked) and with sampling.
+TEST(DecisionTreeNanTest, RankedFitOnRowsMatchesFitOnCopiedRows) {
+  Rng rng(41);
+  const size_t n = 200, cols = 6;
+  la::Matrix x(n, cols);
+  std::vector<double> y(n), labels(n);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t c = 0; c < cols; ++c) {
+      x(i, c) = std::round(rng.Normal() * 3.0) / 3.0;
+    }
+    x(i, 1) = i % 3 == 0 ? -0.0 : (i % 3 == 1 ? 0.0 : 1.0);
+    if (i % 9 == 0) x(i, 2) = nan;
+    y[i] = x(i, 0) + rng.Normal(0.0, 0.5);
+    labels[i] = static_cast<double>(rng.UniformUint64(3));
+  }
+  std::vector<size_t> rows = rng.SampleWithReplacement(n, n);
+  la::Matrix xb = x.SelectRows(rows);
+  for (TaskType task : {TaskType::kRegression, TaskType::kClassification}) {
+    const std::vector<double>& target =
+        task == TaskType::kRegression ? y : labels;
+    std::vector<double> yb(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) yb[i] = target[rows[i]];
+    const RankedColumns ranks(x, target, 2);
+    for (size_t max_features : {size_t{0}, size_t{2}, cols}) {
+      SCOPED_TRACE(testing::Message() << "task " << static_cast<int>(task)
+                                      << " max_features " << max_features);
+      TreeConfig config;
+      config.task = task;
+      config.max_features = max_features;
+      config.seed = 5;
+      DecisionTree copied(config);
+      copied.Fit(xb, yb);
+      DecisionTree ranked(config);
+      ranked.Fit(ranks, target, rows);
+      EXPECT_EQ(copied.Serialize(), ranked.Serialize());
+      EXPECT_EQ(copied.feature_importances(), ranked.feature_importances());
+    }
+  }
+}
+
 TEST(DecisionTreeNanTest, NanRowsFallToTheRightChild) {
   // Feature values 0..3 plus NaNs whose targets match the largest finite
   // value's: a NaN probe must land in the rightmost leaf.
