@@ -1,8 +1,8 @@
 // Hot-path kernel benchmarks: single-thread decision-tree fitting on the
 // Table-6 micro config (digits + 10x injected noise), composite-key
 // hash-join / group-by row throughput, and the RIFS kernels: the
-// sparse-regression fit, the moment-matched noise, the ranking forest and
-// the Cholesky factor. These are the kernels every ARDA layer
+// sparse-regression fit, the moment-matched noise and the ranking forest.
+// These are the kernels every ARDA layer
 // bottoms out in (forest ranking, RIFS, join execution), so their
 // single-thread cost gates the whole pipeline.
 //
@@ -37,7 +37,7 @@
 #include "discovery/repository.h"
 #include "featsel/rifs.h"
 #include "join/join_executor.h"
-#include "la/linalg.h"
+#include "la/matrix.h"
 #include "ml/decision_tree.h"
 #include "ml/random_forest.h"
 #include "ml/sparse_regression.h"
@@ -591,9 +591,9 @@ std::vector<KernelResult> RunAll(const BenchOptions& options, bool smoke) {
   // --- RIFS kernels at the taxi shape: the l2,1 sparse-regression fit
   // on the noise-augmented matrix (n=700, d=316) with one output (c=1)
   // and with a one-hot binary target (c=2), one round's moment-matched
-  // noise (263 real features, t=53 noise columns), one round's ranking
-  // forest and the Cholesky factor of an n x n covariance. They run last
-  // so they cannot perturb the SIMD pairs' timings. ---
+  // noise (263 real features, t=53 noise columns) and one round's
+  // ranking forest. They run last so they cannot perturb the SIMD pairs'
+  // timings. ---
   {
     const size_t rows = smoke ? 300 : 700;
     const size_t real = smoke ? 80 : 263;
@@ -661,27 +661,6 @@ std::vector<KernelResult> RunAll(const BenchOptions& options, bool smoke) {
           forest.Fit(forest_x, data.y);
           return HashDoubles(forest.feature_importances());
         }));
-
-    // The factor of a full-rank 700x700 SPD matrix (B B^T / k + I), the
-    // size of the noise covariance Sigma that every RIFS round factors.
-    const size_t k = 64;
-    la::Matrix b(rows, k);
-    for (size_t r = 0; r < rows; ++r) {
-      for (size_t c = 0; c < k; ++c) b(r, c) = rng.Normal();
-    }
-    la::Matrix spd(rows, rows);
-    for (size_t i = 0; i < rows; ++i) {
-      for (size_t j = 0; j < rows; ++j) {
-        double sum = 0.0;
-        for (size_t c = 0; c < k; ++c) sum += b(i, c) * b(j, c);
-        spd(i, j) = sum / static_cast<double>(k) + (i == j ? 1.0 : 0.0);
-      }
-    }
-    results.push_back(Measure("cholesky_700", rows * rows, reps, [&] {
-      Result<la::Matrix> l = la::Cholesky(spd);
-      ARDA_CHECK(l.ok());
-      return HashDoubles(l.value().data());
-    }));
   }
 
   return results;

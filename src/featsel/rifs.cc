@@ -35,22 +35,20 @@ la::Matrix MakeNoiseFeatures(const ml::Dataset& data, size_t count,
   la::Matrix noise(n, count);
   switch (kind) {
     case NoiseKind::kMomentMatched: {
-      // Algorithm 2: fit N(mu, Sigma) to the empirical feature moments
-      // (each feature is an observation in R^n) and sample i.i.d. columns.
-      la::FeatureMoments moments = la::ComputeFeatureMoments(data.x);
-      noise = la::SampleMultivariateNormal(moments, count, rng);
+      // Algorithm 2: sample i.i.d. columns from N(mu, Sigma) fitted to the
+      // feature columns (each feature is an observation in R^n).
+      noise = la::SampleMomentMatched(data.x, count, rng);
       if (permute_moment_noise) {
         // Break target alignment while keeping each column's value
-        // distribution (see RifsConfig::permute_moment_noise).
+        // distribution (see RifsConfig::permute_moment_noise): gather
+        // each column through a uniform shuffle, out(r) = col(order[r]).
         std::vector<size_t> order(n);
+        std::vector<double> col(n);
         for (size_t c = 0; c < count; ++c) {
           for (size_t r = 0; r < n; ++r) order[r] = r;
           rng->Shuffle(&order);
-          for (size_t r = 0; r < n; ++r) {
-            double tmp = noise(r, c);
-            noise(r, c) = noise(order[r], c);
-            noise(order[r], c) = tmp;
-          }
+          for (size_t r = 0; r < n; ++r) col[r] = noise(r, c);
+          for (size_t r = 0; r < n; ++r) noise(r, c) = col[order[r]];
         }
       }
       return noise;

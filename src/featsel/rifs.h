@@ -51,12 +51,12 @@ struct RifsConfig {
   /// pre-drawn serially and the beat-all-noise counts are reduced in
   /// round order, so results are bit-identical for every value.
   size_t num_threads = 0;
-  /// Row-permute each moment-matched noise column after sampling. The
-  /// empirical covariance of Algorithm 2 lives in R^(n x n), so with few
-  /// input features its samples are linear mixtures of *real* columns —
-  /// including target-aligned ones — and genuine signal can never outrank
-  /// them. Permuting keeps the marginal value distribution (the "looks
-  /// like the input" property) while breaking target alignment.
+  /// Row-permute each moment-matched noise column after sampling. Each
+  /// Algorithm 2 sample is mu + Xc z / sqrt(d): literally a random linear
+  /// mixture of the centered *real* columns — target-aligned ones
+  /// included — so genuine signal can never consistently outrank it.
+  /// Permuting keeps the marginal value distribution (the "looks like
+  /// the input" property) while breaking target alignment.
   bool permute_moment_noise = true;
 };
 

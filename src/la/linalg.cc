@@ -180,90 +180,33 @@ Matrix Standardize(const Matrix& x, const ColumnStats& stats) {
   return out;
 }
 
-FeatureMoments ComputeFeatureMoments(const Matrix& x) {
-  // Columns of x are the observations (each feature vector lives in R^n).
+Matrix SampleMomentMatched(const Matrix& x, size_t count, Rng* rng) {
   const size_t n = x.rows();
   const size_t d = x.cols();
-  FeatureMoments moments;
-  moments.mean.assign(n, 0.0);
-  moments.covariance = Matrix(n, n);
-  if (d == 0) return moments;
-  for (size_t r = 0; r < n; ++r) {
-    const double* row = x.RowPtr(r);
-    double sum = 0.0;
-    for (size_t c = 0; c < d; ++c) sum += row[c];
-    moments.mean[r] = sum / static_cast<double>(d);
-  }
-  // Accumulate sum_c (col_c - mu)(col_c - mu)^T over a centered d x n
-  // transpose, one covariance row at a time: row i stays in cache while
-  // the centered columns stream through it unit-stride. Every entry sums
-  // its terms in ascending c, the order the RIFS noise goldens pin.
-  Matrix centered(d, n);
-  for (size_t r = 0; r < n; ++r) {
-    const double* row = x.RowPtr(r);
-    const double mu = moments.mean[r];
-    for (size_t c = 0; c < d; ++c) centered(c, r) = row[c] - mu;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    double* crow = moments.covariance.RowPtr(i);
-    for (size_t c = 0; c < d; ++c) {
-      const double* col = centered.RowPtr(c);
-      const double di = col[i];
-      if (di == 0.0) continue;
-      for (size_t j = i; j < n; ++j) crow[j] += di * col[j];
-    }
-  }
-  const double inv_d = 1.0 / static_cast<double>(d);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i; j < n; ++j) {
-      moments.covariance(i, j) *= inv_d;
-      moments.covariance(j, i) = moments.covariance(i, j);
-    }
-  }
-  return moments;
-}
-
-Matrix SampleMultivariateNormal(const FeatureMoments& moments, size_t count,
-                                Rng* rng) {
-  const size_t n = moments.mean.size();
   Matrix samples(n, count);  // each *column* is one sampled feature vector
-  Matrix sigma = moments.covariance;
-  // Jitter the diagonal until Cholesky succeeds (bounded retries).
-  double jitter = 1e-8;
-  Result<Matrix> chol = Cholesky(sigma);
-  for (int attempt = 0; attempt < 6 && !chol.ok(); ++attempt) {
-    for (size_t i = 0; i < n; ++i) sigma(i, i) += jitter;
-    jitter *= 10.0;
-    chol = Cholesky(sigma);
-  }
-  if (chol.ok()) {
-    const Matrix& l = chol.value();
-    // Draw every z first, sample by sample, coordinate by coordinate (the
-    // stream order callers' seeds depend on), then form mu + L z for all
-    // samples at once: sample s of row i sums l(i,k) z(k,s) onto mu_i in
-    // ascending k, vectorized across s.
-    Matrix z(n, count);
-    for (size_t s = 0; s < count; ++s) {
-      for (size_t k = 0; k < n; ++k) z(k, s) = rng->Normal();
-    }
-    for (size_t i = 0; i < n; ++i) {
-      double* out = samples.RowPtr(i);
-      std::fill(out, out + count, moments.mean[i]);
-      const double* lrow = l.RowPtr(i);
-      for (size_t k = 0; k <= i; ++k) {
-        const double lik = lrow[k];
-        const double* zrow = z.RowPtr(k);
-        for (size_t s = 0; s < count; ++s) out[s] += lik * zrow[s];
-      }
-    }
-    return samples;
-  }
-  // Diagonal fallback: independent normals matching per-coordinate variance.
+  if (d == 0) return samples;
+  // Draw every z first, sample by sample, coordinate by coordinate (the
+  // stream order callers' seeds depend on), scaled by 1/sqrt(d).
+  const double scale = 1.0 / std::sqrt(static_cast<double>(d));
+  Matrix z(d, count);
   for (size_t s = 0; s < count; ++s) {
-    for (size_t i = 0; i < n; ++i) {
-      double var = moments.covariance(i, i);
-      double sd = var > 0.0 ? std::sqrt(var) : 1.0;
-      samples(i, s) = rng->Normal(moments.mean[i], sd);
+    for (size_t k = 0; k < d; ++k) z(k, s) = rng->Normal() * scale;
+  }
+  // Row i: mu_i, then xc(i,k) z(k,s) added in ascending k, vectorized
+  // across the samples s. Zero entries of xc are skipped, so a row whose
+  // entries are all equal yields exactly mu_i.
+  for (size_t i = 0; i < n; ++i) {
+    const double* row = x.RowPtr(i);
+    double sum = 0.0;
+    for (size_t k = 0; k < d; ++k) sum += row[k];
+    const double mu = sum / static_cast<double>(d);
+    double* out = samples.RowPtr(i);
+    std::fill(out, out + count, mu);
+    for (size_t k = 0; k < d; ++k) {
+      const double xc = row[k] - mu;
+      if (xc == 0.0) continue;
+      const double* zrow = z.RowPtr(k);
+      for (size_t s = 0; s < count; ++s) out[s] += xc * zrow[s];
     }
   }
   return samples;

@@ -49,23 +49,16 @@ ColumnStats ComputeColumnStats(const Matrix& x);
 /// Returns a copy of `x` with each column z-scored using `stats`.
 Matrix Standardize(const Matrix& x, const ColumnStats& stats);
 
-/// Covariance matrix of the *columns* of `x` treated as observations of
-/// row-dimension vectors; this is the d-observation estimate RIFS uses
-/// (Algorithm 2 of the paper): mu = mean over columns, Sigma =
-/// 1/d sum_i (x_i - mu)(x_i - mu)^T where x_i is the i-th column.
-struct FeatureMoments {
-  std::vector<double> mean;  // length = rows of x
-  Matrix covariance;         // rows x rows
-};
-
-/// Computes the empirical feature moments used by RIFS noise injection.
-FeatureMoments ComputeFeatureMoments(const Matrix& x);
-
-/// Samples `count` vectors from N(mu, Sigma) using a jittered Cholesky
-/// factor of Sigma; each sample has mu.size() entries. Falls back to
-/// diagonal sampling if Sigma is numerically singular even after jitter.
-Matrix SampleMultivariateNormal(const FeatureMoments& moments, size_t count,
-                                Rng* rng);
+/// Draws `count` samples of the moment-matched noise RIFS injects
+/// (Algorithm 2): N(mu, Sigma) fitted to the d columns of `x` as
+/// observations in R^n, with mu the mean over columns and
+/// Sigma = (1/d) Xc Xc^T for Xc = x with each row centered by mu. Each
+/// sample is mu + Xc z / sqrt(d) with z ~ N(0, I_d), whose covariance is
+/// exactly Sigma, so no n x n matrix is formed or factored and a
+/// rank-deficient Sigma needs no special case. Returns n x count, one
+/// sample per column; draws d normals per sample, sample by sample. A
+/// matrix with no columns yields zeros and draws nothing.
+Matrix SampleMomentMatched(const Matrix& x, size_t count, Rng* rng);
 
 }  // namespace arda::la
 

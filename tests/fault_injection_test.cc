@@ -101,8 +101,9 @@ core::ArdaConfig MakeConfig() {
 TEST(FaultInjectionTest, PipelineCompletesWithEverySingleFault) {
   FaultGuard guard;
   // Sites the scenario is guaranteed to hit; the others (csv_parse is a
-  // load-time site, resample needs time keys, cholesky degrades inside
-  // the solver) must still leave the run completing cleanly.
+  // load-time site, resample needs time keys, cholesky is reached only
+  // through ridge regression's solve, which degrades to its intercept)
+  // must still leave the run completing cleanly.
   const std::set<std::string_view> expect_skips = {
       fault::kJoinKeyEncode, fault::kPreAggregate, fault::kImpute,
       fault::kCoreset, fault::kRifs};

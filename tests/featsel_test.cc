@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "featsel/rifs.h"
@@ -160,6 +161,43 @@ TEST(NoiseInjectionTest, MomentMatchedNoiseResemblesData) {
                                        &rng, /*permute_moment_noise=*/false);
   EXPECT_NEAR(la::Mean(noise.Row(0)), 100.0, 2.0);
   EXPECT_NEAR(la::Mean(noise.Row(1)), -50.0, 2.0);
+}
+
+TEST(NoiseInjectionTest, MomentNoisePermutationIsUniform) {
+  // With n = 3 every column's shuffle is one of 3! = 6 orders. Draws with
+  // and without the permutation share their pre-permutation samples (the
+  // shuffles consume the stream after them), so each column's applied
+  // order is recovered by matching values: out(r) = col(order[r]).
+  ml::Dataset data;
+  data.task = ml::TaskType::kRegression;
+  data.x = la::Matrix(3, 4);
+  Rng seed_rng(40);
+  for (double& v : data.x.mutable_data()) v = seed_rng.Normal();
+  data.y = {0.0, 0.0, 0.0};
+  const size_t count = 6000;
+  Rng raw_rng(41), permuted_rng(41);
+  la::Matrix raw = MakeNoiseFeatures(data, count, NoiseKind::kMomentMatched,
+                                     &raw_rng, /*permute_moment_noise=*/false);
+  la::Matrix permuted = MakeNoiseFeatures(
+      data, count, NoiseKind::kMomentMatched, &permuted_rng,
+      /*permute_moment_noise=*/true);
+  std::map<std::vector<size_t>, size_t> seen;
+  for (size_t c = 0; c < count; ++c) {
+    std::vector<size_t> order;
+    for (size_t r = 0; r < 3; ++r) {
+      for (size_t j = 0; j < 3; ++j) {
+        if (raw(j, c) == permuted(r, c)) order.push_back(j);
+      }
+    }
+    ASSERT_EQ(order.size(), 3u) << "column " << c << " values not distinct";
+    ++seen[order];
+  }
+  // Each share's standard error is ~0.005 at 6000 columns.
+  ASSERT_EQ(seen.size(), 6u);
+  for (const auto& [order, times] : seen) {
+    EXPECT_NEAR(static_cast<double>(times) / count, 1.0 / 6.0, 0.025)
+        << order[0] << order[1] << order[2];
+  }
 }
 
 TEST(RifsTest, SelectsSignalFiltersNoise) {

@@ -359,8 +359,8 @@ inline std::string GoldenSparseRegression(ml::TaskType task) {
 }
 
 /// RIFS moment-matched noise (Algorithm 2) on GoldenRegressionData at a
-/// fixed Rng, hexfloat, row-major. Sigma (300 x 300) has rank at most 24,
-/// so the sample goes through the jittered-Cholesky retries.
+/// fixed Rng, hexfloat, row-major: six mu + Xc z / sqrt(24) draws from
+/// the 300 x 24 data, each row-permuted.
 inline std::string GoldenMomentNoise() {
   ml::Dataset data = GoldenRegressionData();
   Rng rng(13);

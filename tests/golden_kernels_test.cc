@@ -93,8 +93,9 @@ TEST(GoldenKernelsTest, AggregateBitIdentical) {
 }
 
 // The RIFS kernels: the l2,1 sparse-regression fit at c=1 and c=2 and the
-// moment-matched noise sampler. These goldens were captured from the
-// kernels before their transposed, allocation-free rewrite.
+// moment-matched noise sampler. The fit goldens were captured from the
+// kernel before its transposed, allocation-free rewrite; the noise golden
+// from the data-factor draw itself.
 TEST(GoldenKernelsTest, SparseRegressionBitIdentical) {
   EXPECT_EQ(golden::GoldenSparseRegression(ml::TaskType::kRegression),
             ReadGolden("sparse_regression_c1.txt"));

@@ -207,47 +207,107 @@ TEST(StandardizeTest, ZeroMeanUnitVariance) {
   EXPECT_NEAR(z(0, 1), 0.0, 1e-12);  // constant column maps to zero
 }
 
-TEST(FeatureMomentsTest, MeanOverColumns) {
-  Matrix x(2, 3, std::vector<double>{1, 2, 3, 4, 5, 6});
-  FeatureMoments m = ComputeFeatureMoments(x);
-  ASSERT_EQ(m.mean.size(), 2u);
-  EXPECT_DOUBLE_EQ(m.mean[0], 2.0);
-  EXPECT_DOUBLE_EQ(m.mean[1], 5.0);
-  EXPECT_EQ(m.covariance.rows(), 2u);
-  // Both rows are [1,2,3] shifted; columns vary together -> positive
-  // covariance everywhere.
-  EXPECT_GT(m.covariance(0, 1), 0.0);
-  EXPECT_DOUBLE_EQ(m.covariance(0, 1), m.covariance(1, 0));
-}
-
-TEST(SampleMultivariateNormalTest, MatchesMoments) {
-  // Target: mean (1, -1), covariance [[2, 0.8], [0.8, 1]].
-  FeatureMoments moments;
-  moments.mean = {1.0, -1.0};
-  moments.covariance = Matrix(2, 2, std::vector<double>{2.0, 0.8, 0.8, 1.0});
-  Rng rng(8);
-  Matrix samples = SampleMultivariateNormal(moments, 20000, &rng);
-  ASSERT_EQ(samples.rows(), 2u);
-  double m0 = Mean(samples.Row(0));
-  double m1 = Mean(samples.Row(1));
-  EXPECT_NEAR(m0, 1.0, 0.05);
-  EXPECT_NEAR(m1, -1.0, 0.05);
-  // Empirical covariance.
-  double cov = 0.0;
-  for (size_t s = 0; s < samples.cols(); ++s) {
-    cov += (samples(0, s) - m0) * (samples(1, s) - m1);
+// Draws many samples from SampleMomentMatched(x) and checks the sample
+// mean against mu and the sample covariance against Sigma = (1/d) Xc Xc^T,
+// both computed directly from x. Tolerances are five standard errors of
+// each estimate under the Gaussian the draw targets.
+void ExpectMomentsConverge(const Matrix& x, uint64_t seed) {
+  const size_t n = x.rows();
+  const size_t d = x.cols();
+  std::vector<double> mu(n, 0.0);
+  for (size_t i = 0; i < n; ++i) mu[i] = Mean(x.Row(i));
+  Matrix sigma(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      for (size_t k = 0; k < d; ++k) {
+        sigma(i, j) += (x(i, k) - mu[i]) * (x(j, k) - mu[j]);
+      }
+      sigma(i, j) /= static_cast<double>(d);
+    }
   }
-  cov /= static_cast<double>(samples.cols());
-  EXPECT_NEAR(cov, 0.8, 0.08);
+  const size_t count = 40000;
+  Rng rng(seed);
+  Matrix samples = SampleMomentMatched(x, count, &rng);
+  ASSERT_EQ(samples.rows(), n);
+  ASSERT_EQ(samples.cols(), count);
+  const double m = static_cast<double>(count);
+  std::vector<double> mean(n);
+  for (size_t i = 0; i < n; ++i) {
+    mean[i] = Mean(samples.Row(i));
+    EXPECT_NEAR(mean[i], mu[i], 5.0 * std::sqrt(sigma(i, i) / m)) << i;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      double cov = 0.0;
+      for (size_t s = 0; s < count; ++s) {
+        cov += (samples(i, s) - mean[i]) * (samples(j, s) - mean[j]);
+      }
+      cov /= m;
+      const double se = std::sqrt(
+          (sigma(i, i) * sigma(j, j) + sigma(i, j) * sigma(i, j)) / m);
+      EXPECT_NEAR(cov, sigma(i, j), 5.0 * se) << i << "," << j;
+    }
+  }
 }
 
-TEST(SampleMultivariateNormalTest, SingularCovarianceFallsBack) {
-  FeatureMoments moments;
-  moments.mean = {0.0, 0.0};
-  moments.covariance = Matrix(2, 2);  // all zeros: singular
-  Rng rng(9);
-  Matrix samples = SampleMultivariateNormal(moments, 100, &rng);
-  EXPECT_EQ(samples.cols(), 100u);
+// Rows with different means and scales, mixed through a shared component
+// so Sigma has off-diagonal structure.
+Matrix MixedColumns(size_t n, size_t d, uint64_t seed) {
+  Rng rng(seed);
+  Matrix x(n, d);
+  for (size_t k = 0; k < d; ++k) {
+    const double shared = rng.Normal();
+    for (size_t i = 0; i < n; ++i) {
+      x(i, k) = static_cast<double>(i) - 2.0 +
+                (1.0 + 0.5 * static_cast<double>(i)) * rng.Normal() +
+                (i % 2 == 0 ? 1.5 : -0.8) * shared;
+    }
+  }
+  return x;
+}
+
+TEST(SampleMomentMatchedTest, MomentsConvergeWithFewerColumnsThanRows) {
+  // d < n: Sigma (5 x 5) has rank at most 2 and has no Cholesky factor.
+  ExpectMomentsConverge(MixedColumns(5, 3, 21), 22);
+}
+
+TEST(SampleMomentMatchedTest, MomentsConvergeWithMoreColumnsThanRows) {
+  ExpectMomentsConverge(MixedColumns(3, 8, 23), 24);
+}
+
+TEST(SampleMomentMatchedTest, EqualColumnsYieldExactlyTheMean) {
+  // Every column equal: Sigma is zero and each sample is exactly mu.
+  const std::vector<double> column = {1.5, -2.25, 7.0, 0.0};
+  Matrix x(column.size(), 3);
+  for (size_t i = 0; i < column.size(); ++i) {
+    for (size_t k = 0; k < x.cols(); ++k) x(i, k) = column[i];
+  }
+  Rng rng(25);
+  Matrix samples = SampleMomentMatched(x, 50, &rng);
+  for (size_t i = 0; i < column.size(); ++i) {
+    for (size_t s = 0; s < samples.cols(); ++s) {
+      EXPECT_EQ(samples(i, s), column[i]) << i << "," << s;
+    }
+  }
+}
+
+TEST(SampleMomentMatchedTest, DrawsSampleBySample) {
+  // Sample s consumes the stream's normals s*d through s*d + d - 1, so a
+  // shorter draw is a prefix of a longer one at the same seed.
+  Matrix x = MixedColumns(6, 4, 26);
+  Rng one_rng(27), many_rng(27);
+  Matrix one = SampleMomentMatched(x, 1, &one_rng);
+  Matrix many = SampleMomentMatched(x, 5, &many_rng);
+  for (size_t i = 0; i < x.rows(); ++i) EXPECT_EQ(one(i, 0), many(i, 0));
+}
+
+TEST(SampleMomentMatchedTest, NoColumnsYieldZerosAndDrawNothing) {
+  Rng rng(28), fresh(28);
+  Matrix samples = SampleMomentMatched(Matrix(3, 0), 4, &rng);
+  ASSERT_EQ(samples.rows(), 3u);
+  ASSERT_EQ(samples.cols(), 4u);
+  for (double v : samples.data()) EXPECT_EQ(v, 0.0);
+  EXPECT_EQ(rng.NextUint64(), fresh.NextUint64());
 }
 
 }  // namespace

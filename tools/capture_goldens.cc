@@ -4,12 +4,15 @@
 // The fixtures pin the exact bit-level outputs of the decision-tree,
 // random-forest, join/group-by, RIFS (sparse-regression fit,
 // moment-matched noise) and Cholesky kernels at fixed seeds. The tree and
-// join files were generated from the row-at-a-time kernels, the RIFS files
-// from the per-evaluation-allocating fit and the strided moments, the
+// join files were generated from the row-at-a-time kernels, the
+// sparse-regression files from the per-evaluation-allocating fit, the
 // regression-forest file from the per-node comparison sort over per-tree
 // row copies, and the Cholesky file from the one-row-at-a-time factor; the
-// rewritten kernels must reproduce them byte for byte. Re-run this tool ONLY when an intentional output change
-// is being made, and say so in the commit message.
+// rewritten kernels must reproduce them byte for byte. The noise file was
+// captured from the data-factor draw (mu + Xc z / sqrt(d)) when it
+// replaced the n x n covariance and its Cholesky factor. Re-run this tool
+// ONLY when an intentional output change is being made, and say so in the
+// commit message.
 
 #include <cstdio>
 #include <string>
